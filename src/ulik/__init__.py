@@ -6,7 +6,7 @@ Gaussian step, and a Monte Carlo simulator to validate both.
 """
 
 from .channel import ChannelParams, PowerControl, combined_shadow_stats
-from .distribution import EmpiricalDistribution, GaussianDb, LognormalDist, ks_distance
+from .distribution import EmpiricalDistribution, LognormalDist, ks_distance
 from .gaussian_approx import (
     GaussianApprox,
     RegionMoments,
@@ -28,6 +28,7 @@ from .geometry import (
     Union,
 )
 from .lognormal_sum import GaussHermiteRule, LognormalFit, fit_sum, gh_rule, lognormal_mgf
+from .pipeline import Analysis, CellAnalysis, analyze
 from .scenario_io import (
     Cell,
     HotspotDropSpec,

@@ -48,11 +48,6 @@ def path_loss(params: ChannelParams, d):
     return float(out) if out.ndim == 0 else out
 
 
-def tx_power_dbm(pc: PowerControl, l_bb, s_bb):
-    """UE transmit power under fractional pathloss compensation."""
-    return pc.p0_dbm + pc.eta * (np.asarray(l_bb) + np.asarray(s_bb))
-
-
 def interference_db(pc: PowerControl, params: ChannelParams, d_bb, d_b1, s_bb, s_b1, h_b1):
     """Received interference power in dBm at the victim BS.
 

@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import channel as channel_mod
-from . import gaussian_approx, lognormal_sum, scenario_io, simulator
-from .distribution import GaussianDb, LognormalDist, ks_distance
+from . import gaussian_approx, pipeline, scenario_io, simulator
+from .distribution import ks_distance
 from .errors import UlikError, ValidationError
-from .streams import substream
+from .gaussian_approx import GaussianApprox
 
 
 def _write_csv(path, header, rows):
@@ -48,30 +47,17 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
-    s_stats = channel_mod.combined_shadow_stats(scenario.channel, scenario.power)
-    g = gaussian_approx.lognormal_exp_gaussian(s_stats)
-    rule = lognormal_sum.gh_rule(args.m0)
-
-    rows = []
-    components = []
-    for idx, cell in enumerate(scenario.interfering_cells()):
-        rng = substream(args.seed, idx)
-        moments = gaussian_approx.region_moments(
-            scenario.ue_region(cell.id), cell.bs, scenario.victim_cell().bs,
-            scenario.channel, scenario.power, args.samples, rng,
-        )
-        cert = gaussian_approx.tau(moments, g, threshold=args.tau_threshold)
-        qb = gaussian_approx.interferer_gaussian(scenario.power.p0_dbm, moments, g)
-        components.append(qb)
-        rows.append([cell.id, moments.mu_l, moments.var_l, moments.abs3_l,
-                     cert.tau, cert.passes, qb.mean, qb.variance])
-
-    fit = lognormal_sum.fit_sum(components, s1=args.s1, s2=args.s2, rule=rule,
-                                ref_dbm=scenario.power.p0_dbm)
+    result = pipeline.analyze(scenario, args.samples, args.seed, m0=args.m0,
+                              s1=args.s1, s2=args.s2, tau_threshold=args.tau_threshold)
+    rows = [[c.cell_id, c.moments.mu_l, c.moments.var_l, c.moments.abs3_l,
+             c.certificate.tau, c.certificate.passes, c.component.mean, c.component.variance,
+             *c.moments.std_errors]
+            for c in result.cells]
+    fit = result.fit
 
     _write_csv(out / "report.csv",
                ["cell_id", "mu_l", "var_l", "abs3_l", "tau", "passes",
-                "mu_qb", "var_qb"],
+                "mu_qb", "var_qb", "se_mu_l", "se_var_l", "se_abs3_l"],
                rows)
     scenario_id = scenario.metadata.get("generator", Path(str(args.scenario)).stem)
     _write_csv(out / "fit.csv",
@@ -81,7 +67,7 @@ def cmd_analyze(args) -> int:
                  fit.residuals[0], fit.residuals[1], fit.iterations, fit.converged]])
 
     if fit.var_q > 0:
-        dist = LognormalDist(fit.mu_q, fit.var_q).db_gaussian()
+        dist = GaussianApprox(fit.mu_q, fit.var_q)
         grid = _cdf_grid(dist.quantile(0.001), dist.quantile(0.999))
         _write_csv(out / "analytic_cdf.csv", ["value_dbm", "analytic_cdf"],
                    zip(grid, dist.cdf(grid)))
@@ -152,12 +138,12 @@ def cmd_compare(args) -> int:
             cell_samples = simulator.read_samples(dump)
             ks = ks_distance(
                 cell_samples,
-                GaussianDb(float(row["mu_qb"]), float(row["var_qb"])),
+                GaussianApprox(float(row["mu_qb"]), float(row["var_qb"])),
             )
             rows.append([row["cell_id"], ks])
             ks_percell_max = ks if ks_percell_max is None else max(ks_percell_max, ks)
 
-    ks_agg = ks_distance(agg, GaussianDb(float(fit["mu_q"]), float(fit["var_q"])))
+    ks_agg = ks_distance(agg, GaussianApprox(float(fit["mu_q"]), float(fit["var_q"])))
     rows.append(["aggregate", ks_agg])
     _write_csv(out / "comparison.csv", ["cell_id", "ks"], rows)
 
@@ -257,10 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UlikError as exc:
-        sys.stderr.write(f"ulik: error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (UlikError, FileNotFoundError) as exc:
         sys.stderr.write(f"ulik: error: {exc}\n")
         return 2
 

@@ -9,31 +9,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, ndtri
+from scipy.special import erf
 
 from .errors import DomainMismatchError, NonpositiveValueError, ValidationError
+from .gaussian_approx import GaussianApprox
 from .lognormal_sum import ZETA
 
 DBM = "dbm"
 MW = "mw"
 
 
-@dataclass(frozen=True)
-class GaussianDb:
-    """Gaussian CDF over dBm values; the dB-domain view of a lognormal."""
-
-    mean: float
-    variance: float
-    domain: str = DBM
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mean) / math.sqrt(2.0 * self.variance)
-        out = 0.5 + 0.5 * erf(z)
-        return float(out) if out.ndim == 0 else out
-
-    def quantile(self, p: float) -> float:
-        return self.mean + math.sqrt(self.variance) * float(ndtri(p))
+# The dB-domain Gaussian is gaussian_approx.GaussianApprox; this is a second
+# name for it.
+GaussianDb = GaussianApprox
 
 
 @dataclass(frozen=True)
@@ -67,9 +55,6 @@ class LognormalDist:
             (ZETA * np.log(v) - self.mu_q) / math.sqrt(2.0 * self.var_q)
         )
         return float(out) if out.ndim == 0 else out
-
-    def db_gaussian(self) -> GaussianDb:
-        return GaussianDb(mean=self.mu_q, variance=self.var_q)
 
 
 @dataclass(frozen=True)

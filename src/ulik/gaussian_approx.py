@@ -8,6 +8,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf, ndtri
 
 from . import geometry
 from .errors import DegenerateGeometryError, ValidationError, ZeroVarianceError
@@ -29,14 +30,28 @@ class SurrogateAccuracyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GaussianApprox:
-    """(mean dB, variance dB^2) of a dB-domain Gaussian approximation."""
+    """(mean dB, variance dB^2) of a dB-domain Gaussian approximation, with
+    its CDF over dBm values (the dB-domain view of a lognormal)."""
 
     mean: float
     variance: float
+    domain = "dbm"  # class attribute, not a field: the sample domain of the CDF
 
     def __post_init__(self):
         if self.variance < 0:
             raise ValidationError(f"variance must be nonnegative, got {self.variance}")
+
+    def cdf(self, x):
+        """Gaussian CDF; at variance 0 the right-continuous step at the mean."""
+        x = np.asarray(x, dtype=float)
+        if self.variance > 0:
+            out = 0.5 + 0.5 * erf((x - self.mean) / math.sqrt(2.0 * self.variance))
+        else:
+            out = (x >= self.mean).astype(float)
+        return float(out) if out.ndim == 0 else out
+
+    def quantile(self, p: float) -> float:
+        return self.mean + math.sqrt(self.variance) * float(ndtri(p))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Planar UE-distribution regions: CSG trees, membership tests, uniform
-sampling and Monte Carlo integration.
+"""Planar UE-distribution regions: CSG trees, membership tests and uniform
+sampling.
 
 All coordinates are in km.  Regions are immutable and safe to share across
 threads; randomness always comes from a caller-provided numpy Generator.
@@ -7,7 +7,6 @@ threads; randomness always comes from a caller-provided numpy Generator.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -242,22 +241,6 @@ class Difference(Region):
         return self.left.bounding_box()
 
 
-@dataclass(frozen=True)
-class RegionStats:
-    area: float  # km^2, Monte Carlo estimate
-    centroid: Point
-    sample_count: int
-
-
-def _finite_box(region: Region) -> tuple[float, float, float, float]:
-    (x0, y0), (x1, y1) = region.bounding_box()
-    if not all(map(math.isfinite, (x0, y0, x1, y1))):
-        raise ValidationError("region has an unbounded bounding box; cannot sample")
-    if x1 < x0 or y1 < y0:
-        raise EmptyRegionError("region bounding box is empty")
-    return x0, y0, x1, y1
-
-
 def sample_uniform_xy(
     region: Region, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +250,11 @@ def sample_uniform_xy(
     generator state.  Raises EmptyRegionError when the acceptance rate stays
     below ACCEPTANCE_FLOOR after MAX_REJECTION_TRIALS box draws.
     """
-    x0, y0, x1, y1 = _finite_box(region)
+    (x0, y0), (x1, y1) = region.bounding_box()
+    if not all(map(math.isfinite, (x0, y0, x1, y1))):
+        raise ValidationError("region has an unbounded bounding box; cannot sample")
+    if x1 < x0 or y1 < y0:
+        raise EmptyRegionError("region bounding box is empty")
     if n <= 0:
         raise ValidationError(f"sample count must be positive, got {n}")
     xs_out = np.empty(n)
@@ -292,49 +279,3 @@ def sample_uniform_xy(
                 f"after {trials} trials; region is empty or too thin"
             )
     return xs_out, ys_out
-
-
-def sample_uniform(region: Region, rng: np.random.Generator, n: int) -> list[Point]:
-    xs, ys = sample_uniform_xy(region, rng, n)
-    return [Point(float(x), float(y)) for x, y in zip(xs, ys)]
-
-
-def integrate(
-    region: Region,
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    n: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Average of f over the uniform distribution on the region.
-
-    f takes coordinate arrays (xs, ys) and returns an array of values.
-    Returns (mean, standard error).  This is the normalized average, not the
-    unnormalized area integral.
-    """
-    xs, ys = sample_uniform_xy(region, rng, n)
-    vals = np.asarray(f(xs, ys), dtype=float)
-    if vals.shape != xs.shape:
-        vals = np.broadcast_to(vals, xs.shape)
-    if not np.isfinite(vals).all():
-        raise ValidationError("integrand produced non-finite values on the region")
-    mean = float(vals.mean())
-    std_err = float(vals.std() / math.sqrt(n))
-    return mean, std_err
-
-
-def region_stats(region: Region, rng: np.random.Generator, n: int) -> RegionStats:
-    """Monte Carlo area and centroid estimate (acceptance ratio x box area)."""
-    x0, y0, x1, y1 = _finite_box(region)
-    xs = rng.uniform(x0, x1, n)
-    ys = rng.uniform(y0, y1, n)
-    keep = region.mask(xs, ys)
-    k = int(keep.sum())
-    if k == 0:
-        raise EmptyRegionError("no sample fell inside the region")
-    box_area = (x1 - x0) * (y1 - y0)
-    area = box_area * k / n
-    return RegionStats(
-        area=area,
-        centroid=Point(float(xs[keep].mean()), float(ys[keep].mean())),
-        sample_count=n,
-    )

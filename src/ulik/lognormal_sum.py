@@ -19,6 +19,10 @@ RESIDUAL_TOL = 1e-8
 # just residuals, are recovered to near machine precision.
 _TARGET_TOL = 1e-13
 _MAX_NEWTON_ITER = 200
+# Newton safeguards: largest change of log sigma in one step, and how many
+# times a step is halved before the iteration gives up.
+_MAX_LOG_SIGMA_STEP = 1.0
+_MAX_HALVINGS = 10
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,22 @@ def lognormal_mgf(mu: float, var: float, s: float, rule: GaussHermiteRule) -> fl
     return math.exp(_log_mgf(mu, var, s, rule))
 
 
+def _log_mgf_grad(mu: float, var: float, s: float,
+                  rule: GaussHermiteRule) -> tuple[float, float]:
+    """Derivatives of _log_mgf with respect to mu and log sigma.
+
+    Both are sums over the same nodes as the value, each node weighted by its
+    share of the MGF (a softmax of the log terms).  The shares are formed in
+    the log domain, so a node whose power overflows contributes 0.
+    """
+    x = math.sqrt(2.0 * var) * rule.abscissas
+    log_z = (x + mu) / ZETA
+    log_terms = np.log(rule.weights) - s * np.exp(log_z)
+    # d log MGF / d log z_i = -(share of node i) * s * z_i; d log z_i / d mu = 1 / ZETA
+    d = -np.exp(math.log(s) + log_z + log_terms - logsumexp(log_terms)) / ZETA
+    return float(d.sum()), float(np.dot(d, x))
+
+
 def fenton_wilkinson(components: Sequence[GaussianApprox]) -> tuple[float, float]:
     """Moment-matched (mu, var) seed for the fit: match the linear-domain mean
     and variance of the sum of lognormals."""
@@ -92,9 +112,13 @@ def _residuals(mu, log_sigma, targets, s_points, rule):
 
     The scaling matters: for sums of many weak components both MGF targets sit
     just below 1 and all information lives in log(MGF) ~ -1e-8, so an absolute
-    tolerance on the MGF would accept fits with arbitrary variance.
+    tolerance on the MGF would accept fits with arbitrary variance.  A
+    variance that overflows gives infinite residuals.
     """
-    var = math.exp(2.0 * log_sigma)
+    with np.errstate(over="ignore"):
+        var = float(np.exp(2.0 * log_sigma))
+    if not math.isfinite(var):
+        return np.full(len(targets), np.inf)
     return np.array(
         [
             (_log_mgf(mu, var, s, rule) - t) / max(abs(t), 1e-300)
@@ -103,78 +127,11 @@ def _residuals(mu, log_sigma, targets, s_points, rule):
     )
 
 
-def _jacobian(mu, log_sigma, targets, s_points, rule):
-    h_mu = 1e-6 * max(1.0, abs(mu))
-    h_ls = 1e-6
-    jac = np.empty((2, 2))
-    jac[:, 0] = (
-        _residuals(mu + h_mu, log_sigma, targets, s_points, rule)
-        - _residuals(mu - h_mu, log_sigma, targets, s_points, rule)
-    ) / (2 * h_mu)
-    jac[:, 1] = (
-        _residuals(mu, log_sigma + h_ls, targets, s_points, rule)
-        - _residuals(mu, log_sigma - h_ls, targets, s_points, rule)
-    ) / (2 * h_ls)
-    return jac
-
-
-def _solve_mu_for_target(log_sigma, target, s, rule):
-    # log MGF is strictly decreasing in mu; bisect on a wide bracket.
-    var = math.exp(2.0 * log_sigma)
-    lo, hi = -500.0, 500.0
-    flo = _log_mgf(lo, var, s, rule) - target
-    fhi = _log_mgf(hi, var, s, rule) - target
-    if flo < 0 or fhi > 0:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (_log_mgf(mid, var, s, rule) - target) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisection_fallback(targets, s_points, rule):
-    """Nested bisection: outer on log sigma, inner on mu via the first equation."""
-
-    def outer(ls):
-        mu = _solve_mu_for_target(ls, targets[0], s_points[0], rule)
-        if mu is None:
-            return None, None
-        r2 = _residuals(mu, ls, targets, s_points, rule)[1]
-        return mu, r2
-
-    grid = np.linspace(math.log(1e-6), math.log(1e3), 200)
-    prev_ls, prev_r2 = None, None
-    for ls in grid:
-        mu, r2 = outer(ls)
-        if r2 is None:
-            continue
-        if prev_r2 is not None and (r2 == 0 or (r2 > 0) != (prev_r2 > 0)):
-            lo, hi = prev_ls, ls
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                _, rm = outer(mid)
-                if rm is None:
-                    break
-                if (rm > 0) == (prev_r2 > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            ls_star = 0.5 * (lo + hi)
-            mu_star, _ = outer(ls_star)
-            return mu_star, ls_star
-        prev_ls, prev_r2 = ls, r2
-    return None, None
-
-
 def fit_sum(
     components: Sequence[GaussianApprox],
     s1: float = 1.0,
     s2: float = 0.1,
     rule: GaussHermiteRule | None = None,
-    max_iter: int = _MAX_NEWTON_ITER,
     ref_dbm: float | None = None,
 ) -> LognormalFit:
     """Fit (mu_q, var_q) so the fitted MGF matches the product of component
@@ -186,9 +143,13 @@ def fit_sum(
     as None, the aggregate linear-domain mean level is used, which makes the
     fit exactly equivariant under a common dB shift of all components.
 
-    Damped Newton in (mu, log sigma) from a Fenton-Wilkinson seed; falls back
-    to nested bisection if Newton stalls.  A fit with converged=False carries
-    the best iterate found.
+    One solver: safeguarded Newton in (mu, log sigma) from a
+    Fenton-Wilkinson seed, with the analytic Jacobian of the GH log-MGF,
+    steps scaled so that |d log sigma| <= 1, and at most 10 halvings to a
+    trial point whose residuals are finite and smaller.  When no such point
+    exists, or the Jacobian is singular, the iteration stops and the fit
+    carries the last iterate with converged=False; at design points where
+    the quadrature has no root this is the outcome.
     """
     if not components:
         raise ValidationError("need at least one component")
@@ -214,74 +175,46 @@ def fit_sum(
     ]
 
     if all(c.variance == 0 for c in components):
-        # Sum of constants: exact degenerate lognormal.
-        total_mw = sum(10 ** (c.mean / 10.0) for c in norm)
-        mu_q = ref + 10.0 * math.log10(total_mw)
-        res = _residuals(mu_q - ref, -400.0, targets, s_points, rule)  # exp(-800) == 0.0
-        rel = tuple(
-            float(math.expm1(r * abs(t))) for r, t in zip(res, targets)
-        )
-        ok = max(abs(r) for r in res) <= RESIDUAL_TOL
-        return LognormalFit(
-            mu_q=mu_q,
-            var_q=0.0,
-            residuals=rel,
-            iterations=0,
-            converged=ok and max(abs(r) for r in rel) <= RESIDUAL_TOL,
-        )
-
-    mu0, var0 = fenton_wilkinson(norm)
-    ls = 0.5 * math.log(max(var0, 1e-16))
-    mu = mu0
-    best = (mu, ls, float("inf"))
+        # Sum of constants: the exact fit is a point mass (exp(2 * -400) == 0.0).
+        mu, ls = 10.0 * math.log10(sum(10 ** (c.mean / 10.0) for c in norm)), -400.0
+        budget = 0
+    else:
+        mu, var0 = fenton_wilkinson(norm)
+        ls = 0.5 * math.log(max(var0, 1e-16))
+        budget = _MAX_NEWTON_ITER
+    scale = np.array([max(abs(t), 1e-300) for t in targets])
+    f = _residuals(mu, ls, targets, s_points, rule)
+    size = float(np.max(np.abs(f)))
     iterations = 0
-    for _ in range(max_iter):
-        f = _residuals(mu, ls, targets, s_points, rule)
-        norm = float(np.max(np.abs(f)))
-        if norm < best[2]:
-            best = (mu, ls, norm)
-        if norm <= _TARGET_TOL:
-            break
+    while size > _TARGET_TOL and iterations < budget:
         iterations += 1
-        jac = _jacobian(mu, ls, targets, s_points, rule)
+        var = math.exp(2.0 * ls)
+        jac = np.array([_log_mgf_grad(mu, var, s, rule) for s in s_points]) / scale[:, None]
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             break
-        lam = 1.0
-        improved = False
-        for _ in range(40):
-            f_new = _residuals(mu + lam * step[0], ls + lam * step[1], targets, s_points, rule)
-            if float(np.max(np.abs(f_new))) < norm:
-                mu += lam * step[0]
-                ls += lam * step[1]
-                improved = True
+        step *= 1.0 / max(1.0, abs(step[1]) / _MAX_LOG_SIGMA_STEP)
+        for _ in range(_MAX_HALVINGS + 1):
+            f_new = _residuals(mu + step[0], ls + step[1], targets, s_points, rule)
+            # False for NaN or infinite residuals, so such trial points are rejected.
+            if float(np.max(np.abs(f_new))) < size:
                 break
-            lam *= 0.5
-        if not improved:
+            step *= 0.5
+        else:
             break
+        mu, ls = mu + step[0], ls + step[1]
+        f, size = f_new, float(np.max(np.abs(f_new)))
 
-    mu, ls, norm = best
-    if norm > RESIDUAL_TOL:
-        mu_b, ls_b = _bisection_fallback(targets, s_points, rule)
-        if mu_b is not None:
-            norm_b = float(np.max(np.abs(_residuals(mu_b, ls_b, targets, s_points, rule))))
-            if norm_b < norm:
-                mu, ls, norm = mu_b, ls_b, norm_b
-
-    res = _residuals(mu, ls, targets, s_points, rule)
-    rel = (
-        float(math.expm1(res[0] * abs(targets[0]))),
-        float(math.expm1(res[1] * abs(targets[1]))),
-    )
+    with np.errstate(over="ignore"):
+        rel = tuple(float(r) for r in np.expm1(f * np.abs(targets)))
     var_q = math.exp(2.0 * ls)
     if var_q < 1e-12:
         var_q = 0.0
-    ok = float(np.max(np.abs(res))) <= RESIDUAL_TOL
     return LognormalFit(
         mu_q=float(ref + mu),
         var_q=float(var_q),
         residuals=rel,
         iterations=iterations,
-        converged=ok and max(abs(r) for r in rel) <= RESIDUAL_TOL,
+        converged=size <= RESIDUAL_TOL and max(abs(r) for r in rel) <= RESIDUAL_TOL,
     )

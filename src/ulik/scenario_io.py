@@ -10,14 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry
 from .channel import ChannelParams, PowerControl
-from .errors import (
-    EmptyRegionError,
-    PlacementFailureError,
-    SchemaError,
-    ValidationError,
-)
+from .errors import PlacementFailureError, SchemaError, ValidationError
 from .geometry import (
     Difference,
     Disk,
@@ -74,7 +68,7 @@ class NetworkScenario:
         return Difference(c.region, Disk(c.bs, self.min_bs_ue_distance))
 
 
-def _validate(scenario: NetworkScenario, probe_regions: bool = True) -> NetworkScenario:
+def _validate(scenario: NetworkScenario) -> NetworkScenario:
     ids = [c.id for c in scenario.cells]
     if len(set(ids)) != len(ids):
         raise ValidationError("cell ids must be unique")
@@ -84,12 +78,11 @@ def _validate(scenario: NetworkScenario, probe_regions: bool = True) -> NetworkS
         raise ValidationError("a scenario needs at least 2 cells")
     if scenario.min_bs_ue_distance <= 0:
         raise ValidationError("min BS-to-UE distance must be positive")
-    if probe_regions:
-        for c in scenario.cells:
-            if not _probe_nonempty(scenario.ue_region(c.id)):
-                raise ValidationError(
-                    f"cell {c.id!r}: region is empty after the UE exclusion disk"
-                )
+    for c in scenario.cells:
+        if not _probe_nonempty(scenario.ue_region(c.id)):
+            raise ValidationError(
+                f"cell {c.id!r}: region is empty after the UE exclusion disk"
+            )
     return scenario
 
 

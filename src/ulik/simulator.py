@@ -22,6 +22,7 @@ from .streams import substream
 
 _LN10 = math.log(10.0)
 _BLOCK = 1 << 17  # realizations per block; fixed so results never depend on it
+_MIN_FADING = 2.0**-54
 
 _TAG_POS = 0
 _TAG_S_OWN = 1
@@ -59,7 +60,9 @@ def _standard_normal(rng, n):
 
 
 def _exponential(rng, n):
-    return -np.log1p(-rng.random(n))
+    # u = 0 would give h = 0.  The floor is below -log1p(-2**-53), the gain of
+    # the smallest nonzero draw, so every u > 0 keeps its exact value.
+    return np.maximum(-np.log1p(-rng.random(n)), _MIN_FADING)
 
 
 class _CellSampler:

@@ -11,14 +11,8 @@ import pytest
 from scipy.integrate import quad
 
 from ulik.channel import ChannelParams, combined_shadow_stats
-from ulik.distribution import EmpiricalDistribution, GaussianDb, LognormalDist, ks_distance
-from ulik.gaussian_approx import (
-    GaussianApprox,
-    interferer_gaussian,
-    lognormal_exp_gaussian,
-    region_moments,
-    tau,
-)
+from ulik.distribution import LognormalDist, ks_distance
+from ulik.gaussian_approx import GaussianApprox, lognormal_exp_gaussian, region_moments, tau
 from ulik.geometry import (
     Disk,
     Difference,
@@ -30,6 +24,7 @@ from ulik.geometry import (
     sample_uniform_xy,
 )
 from ulik.lognormal_sum import fit_sum, gh_rule, lognormal_mgf
+from ulik.pipeline import analyze
 from ulik.scenario_io import HotspotDropSpec, gen_hotspot, gen_single_interferer
 from ulik.simulator import SimConfig, simulate, simulate_shadow_fading_product
 from ulik.streams import substream
@@ -50,15 +45,12 @@ def b2_analysis():
     out = {}
     for r in RADII:
         sc = gen_single_interferer(r)
-        g = lognormal_exp_gaussian(combined_shadow_stats(sc.channel, sc.power))
-        cell = sc.interfering_cells()[0]
-        m = region_moments(sc.ue_region(cell.id), cell.bs, sc.victim_cell().bs,
-                           sc.channel, sc.power, 1_000_000, substream(1, 0))
+        (cell,) = analyze(sc, 1_000_000, 1).cells
         out[r] = {
             "scenario": sc,
-            "moments": m,
-            "tau": tau(m, g).tau,
-            "q": interferer_gaussian(sc.power.p0_dbm, m, g),
+            "moments": cell.moments,
+            "tau": cell.certificate.tau,
+            "q": cell.component,
         }
     return out
 
@@ -67,21 +59,16 @@ def b2_analysis():
 def hotspot():
     """Full B=84 pipeline: drop, per-cell analysis, aggregate fit, simulation."""
     sc = gen_hotspot(HotspotDropSpec(seed=HOTSPOT_SEED))
-    g = lognormal_exp_gaussian(combined_shadow_stats(sc.channel, sc.power))
-    taus, comps = [], []
-    for i, cell in enumerate(sc.interfering_cells()):
-        m = region_moments(sc.ue_region(cell.id), cell.bs, sc.victim_cell().bs,
-                           sc.channel, sc.power, 1_000_000, substream(7, i))
-        taus.append(tau(m, g, threshold=0.02).tau)
-        comps.append(interferer_gaussian(sc.power.p0_dbm, m, g))
-    fit = fit_sum(comps, ref_dbm=sc.power.p0_dbm)
+    result = analyze(sc, 1_000_000, 7, tau_threshold=0.02)
+    taus = [c.certificate.tau for c in result.cells]
+    comps = [c.component for c in result.cells]
     sim = simulate(sc, SimConfig(n_samples=1_000_000, seed=99, threads=4))
-    return {"scenario": sc, "taus": taus, "components": comps, "fit": fit, "sim": sim}
+    return {"scenario": sc, "taus": taus, "components": comps, "fit": result.fit, "sim": sim}
 
 
 def test_criterion_1_surrogate_gaussian():
     dist = simulate_shadow_fading_product(SIGMA_S_SQ, 1_000_000, seed=0)
-    ks = ks_distance(dist, GaussianDb(-2.5, SIGMA_G_SQ))
+    ks = ks_distance(dist, GaussianApprox(-2.5, SIGMA_G_SQ))
     report(1, ks <= 0.02, f"surrogate KS={ks:.4f}, bound 0.02")
     assert ks <= 0.02
 
@@ -102,7 +89,7 @@ def test_criterion_3_single_interferer_gaussian(b2_analysis):
         entry = b2_analysis[r]
         sim = simulate(entry["scenario"], SimConfig(n_samples=1_000_000, seed=17))
         q = entry["q"]
-        results[r] = ks_distance(sim.aggregate_dbm, GaussianDb(q.mean, q.variance))
+        results[r] = ks_distance(sim.aggregate_dbm, GaussianApprox(q.mean, q.variance))
     bounds = {0.01: 0.02, 0.02: 0.02, 0.04: 0.03}
     ok = all(results[r] <= bounds[r] for r in RADII)
     report(3, ok, "KS=" + ", ".join(f"{r}:{results[r]:.4f}" for r in RADII))
@@ -114,7 +101,7 @@ def test_criterion_4_aggregate_lognormal_fit(hotspot):
     taus, fit, sim = hotspot["taus"], hotspot["fit"], hotspot["sim"]
     max_tau = max(taus)
     max_res = max(abs(x) for x in fit.residuals)
-    ks = ks_distance(sim.aggregate_dbm, GaussianDb(fit.mu_q, fit.var_q))
+    ks = ks_distance(sim.aggregate_dbm, GaussianApprox(fit.mu_q, fit.var_q))
     ok = (max_tau <= 0.02 and fit.converged and max_res <= 1e-8
           and ks <= 0.06 and 10.0 <= fit.var_q <= 30.0)
     report(4, ok, f"tau_max={max_tau:.4f}, residual={max_res:.1e}, "
@@ -268,8 +255,8 @@ def test_criterion_7_invariant_suites(b2_analysis, hotspot, params, pc):
     hs = hotspot["scenario"]
     regions = [(c.id, hs.ue_region(c.id)) for c in hs.cells]
     probes_per_cell = max(100_000 // len(regions), 1)
-    for cid, region in regions:
-        xs, ys = sample_uniform_xy(region, substream(31, hash(cid) % 2**32), probes_per_cell)
+    for i, (cid, region) in enumerate(regions):
+        xs, ys = sample_uniform_xy(region, substream(31, i), probes_per_cell)
         for ocid, other in regions:
             if ocid != cid and other.mask(xs, ys).any():
                 failures.append(f"regions {cid} and {ocid} overlap")

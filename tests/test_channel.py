@@ -7,7 +7,6 @@ from ulik.channel import (
     combined_shadow_stats,
     interference_db,
     path_loss,
-    tx_power_dbm,
 )
 from ulik.errors import NonpositiveDistanceError, NonpositiveFadingError, ValidationError
 
@@ -34,14 +33,24 @@ class TestPathLoss:
 
 
 class TestTxPower:
-    def test_fpc(self, pc):
-        assert tx_power_dbm(pc, 80.0, 0.0) == pytest.approx(-12.0)
+    """Fractional power control as it enters the interference: with unit
+    fading, no victim shadowing and the victim-link loss added back, what is
+    left is the UE transmit power P0 + eta * (L_bb + S_bb)."""
 
-    def test_zero_compensation(self):
-        assert tx_power_dbm(PowerControl(-76.0, 1.0), 0.0, 0.0) == pytest.approx(-76.0)
+    @staticmethod
+    def tx_power(pc, params, l_bb, s_bb):
+        d_bb = 10 ** ((l_bb - params.a_db) / params.alpha)
+        return interference_db(pc, params, d_bb, 1.0, s_bb, 0.0, 1.0) + params.a_db
 
-    def test_shadowing_compensated(self, pc):
-        assert tx_power_dbm(pc, 80.0, 10.0) == pytest.approx(-4.0)
+    def test_fpc(self, params, pc):
+        assert self.tx_power(pc, params, 80.0, 0.0) == pytest.approx(-12.0)
+
+    def test_zero_compensation(self, params):
+        full = PowerControl(-76.0, 1.0)
+        assert self.tx_power(full, params, 0.0, 0.0) == pytest.approx(-76.0)
+
+    def test_shadowing_compensated(self, params, pc):
+        assert self.tx_power(pc, params, 80.0, 10.0) == pytest.approx(-4.0)
 
 
 class TestInterferenceDb:
@@ -65,7 +74,8 @@ class TestInterferenceDb:
     def test_unit_fading_identity(self, params, pc):
         # Eq-level identity: I(h=1) = tx power - path loss to victim - victim shadowing
         v = interference_db(pc, params, d_bb=0.012, d_b1=0.03, s_bb=3.0, s_b1=-1.5, h_b1=1.0)
-        expected = tx_power_dbm(pc, path_loss(params, 0.012), 3.0) - path_loss(params, 0.03) + 1.5
+        tx = pc.p0_dbm + pc.eta * (path_loss(params, 0.012) + 3.0)
+        expected = tx - path_loss(params, 0.03) + 1.5
         assert v == pytest.approx(expected, abs=1e-12)
 
     @given(st.floats(0.005, 0.1), st.floats(0.005, 0.1))

@@ -1,10 +1,13 @@
 import csv
 import json
+import math
 
 import pytest
 
 from ulik.cli import main
-from ulik.scenario_io import gen_single_interferer, save_scenario
+from ulik.distribution import EmpiricalDistribution
+from ulik.scenario_io import HotspotDropSpec, gen_hotspot, gen_single_interferer, save_scenario
+from ulik.simulator import write_samples
 
 
 def run(*argv):
@@ -53,12 +56,24 @@ class TestAnalyze:
         assert float(fit["mu_q"]) == pytest.approx(float(rows[0]["mu_qb"]), abs=1e-6)
         assert float(fit["var_q"]) == pytest.approx(float(rows[0]["var_qb"]), rel=1e-6)
         assert fit["converged"] == "True"
+        # Monte Carlo standard errors of the moments ride along as the last columns.
+        assert list(rows[0])[-3:] == ["se_mu_l", "se_var_l", "se_abs3_l"]
+        assert all(float(rows[0][k]) > 0 for k in ("se_mu_l", "se_var_l", "se_abs3_l"))
         captured = capsys.readouterr().out
         assert "mu_q=" in captured and "tau_max=" in captured
 
     def test_missing_file(self, tmp_path, capsys):
         rc = run("analyze", tmp_path / "nope.json", "--out", tmp_path / "x")
         assert rc != 0
+
+    def test_design_point_without_root(self, tmp_path, capsys):
+        # On this drop the 12-node Gauss-Hermite MGF has no fit at (1e4, 1e3):
+        # a result to report, not a tool failure.
+        path = tmp_path / "hotspot.json"
+        save_scenario(gen_hotspot(HotspotDropSpec(seed=2)), path)
+        assert run("analyze", path, "--samples", 20_000, "--seed", 0, "--s1", 1e4,
+                   "--s2", 1e3, "--out", tmp_path / "ana") == 0
+        assert "converged=false" in capsys.readouterr().out.splitlines()
 
     def test_tau_failures_do_not_fail_run(self, tmp_path, b2_scenario):
         out = tmp_path / "strict"
@@ -104,3 +119,17 @@ class TestCompare:
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("KS_aggregate="))
         assert float(line.split("=")[1]) <= 0.02
+
+    def test_degenerate_fit_gives_finite_ks(self, tmp_path, capsys):
+        # A fit with var_q = 0 is a point mass: its CDF is the step at mu_q.
+        fit = tmp_path / "fit.csv"
+        fit.write_text("scenario_id,s1,s2,m0,mu_q,var_q,residual1,residual2,iterations,"
+                       "converged\nx,1.0,0.1,12,-80.0,0.0,0.0,0.0,0,True\n")
+        dump = tmp_path / "samples.bin"
+        write_samples(dump, EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0, -78.0],
+                                                               "dbm"))
+        assert run("compare", "--fit", fit, "--samples", dump, "--out", tmp_path / "cmp") == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("KS_aggregate="))
+        ks = float(line.split("=")[1])
+        assert math.isfinite(ks) and ks == 0.5

@@ -12,6 +12,7 @@ from ulik.distribution import (
     ks_distance,
 )
 from ulik.errors import DomainMismatchError, NonpositiveValueError, ValidationError
+from ulik.gaussian_approx import GaussianApprox
 
 ZETA = 10.0 / math.log(10.0)
 DIST = LognormalDist(-77.21, 18.30)
@@ -68,7 +69,7 @@ class TestCdf:
 
     def test_db_duality(self):
         # CDF of the mW lognormal at 10^(x/10) is the Gaussian CDF of x in dB
-        g = DIST.db_gaussian()
+        g = GaussianApprox(DIST.mu_q, DIST.var_q)
         xs = np.linspace(DIST.mu_q - 15, DIST.mu_q + 15, 101)
         np.testing.assert_allclose(DIST.cdf(10 ** (xs / 10.0)), g.cdf(xs), atol=1e-12)
 
@@ -85,6 +86,16 @@ class TestGaussianDb:
         for x, p in refs.items():
             assert g.cdf(x) == pytest.approx(p, abs=1e-10)
             assert g.cdf(-x) == pytest.approx(1 - p, abs=1e-10)
+
+    def test_is_the_component_type(self):
+        assert GaussianDb is GaussianApprox
+        assert GaussianApprox(-80.0, 4.0).domain == "dbm"
+
+    def test_zero_variance_is_a_right_continuous_step(self):
+        g = GaussianDb(-80.0, 0.0)
+        xs = [-80.5, np.nextafter(-80.0, -np.inf), -80.0, -79.0]
+        np.testing.assert_array_equal(g.cdf(xs), [0.0, 0.0, 1.0, 1.0])
+        assert g.cdf(-80.0) == 1.0
 
     def test_quantile_roundtrip(self):
         g = GaussianDb(-77.0, 18.3)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ulik.errors import InvalidDesignPointsError, UnsupportedOrderError
+from ulik.errors import InvalidDesignPointsError, UlikError, UnsupportedOrderError
 from ulik.gaussian_approx import GaussianApprox
 from ulik.lognormal_sum import fenton_wilkinson, fit_sum, gh_rule, lognormal_mgf
+from ulik.pipeline import analyze
+from ulik.scenario_io import HotspotDropSpec, gen_hotspot
 
 
 class TestGhRule:
@@ -124,6 +126,51 @@ class TestFitSum:
         fit = fit_sum(comps)
         assert fit.converged
         assert fit.var_q >= 0.0
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-100.0, -60.0), st.floats(50.0, 250.0)),
+                    min_size=1, max_size=6),
+           st.integers(1, 40),
+           st.floats(-3.0, 4.0), st.floats(-3.0, 4.0),
+           st.sampled_from([8, 12, 20, 32]))
+    def test_any_design_point_returns_a_fit(self, raw, copies, log_s1, log_s2, m0):
+        # Up to 240 components, so that large design points drive the
+        # Gauss-Hermite MGF far into its tail.
+        s1, s2 = 10.0**log_s1, 10.0**log_s2
+        assume(s2 < s1)
+        comps = [GaussianApprox(m, v) for m, v in raw] * copies
+        try:
+            fit = fit_sum(comps, s1=s1, s2=s2, rule=gh_rule(m0), ref_dbm=-76.0)
+        except UlikError:
+            return
+        assert math.isfinite(fit.mu_q) and math.isfinite(fit.var_q)
+        if fit.converged:
+            assert max(abs(r) for r in fit.residuals) <= 1e-8
+
+
+class TestUltraDenseFit:
+    """160 cells of radius 10 m in a 0.3 km square (drop seed 1), analysed at
+    2e4 points per cell with seed 0."""
+
+    @pytest.fixture(scope="class")
+    def components(self):
+        sc = gen_hotspot(HotspotDropSpec(n_cells=160, radius_r=0.01, area_km=(0.3, 0.3),
+                                         seed=1))
+        return [c.component for c in analyze(sc, 20_000, 0).cells], sc.power.p0_dbm
+
+    def test_converges_at_large_design_points(self, components):
+        comps, p0 = components
+        fit = fit_sum(comps, s1=100.0, s2=10.0, rule=gh_rule(12), ref_dbm=p0)
+        assert fit.converged
+        assert fit.mu_q == pytest.approx(-73.7015, abs=1e-4)
+        assert fit.var_q == pytest.approx(4.4343, abs=1e-4)
+
+    def test_no_root_is_reported_not_raised(self, components):
+        comps, p0 = components
+        fit = fit_sum(comps, s1=1e4, s2=1e3, rule=gh_rule(12), ref_dbm=p0)
+        assert not fit.converged
+        assert math.isfinite(fit.mu_q) and fit.var_q > 0
 
 
 class TestFentonWilkinson:

@@ -1,0 +1,36 @@
+import pytest
+
+from ulik.channel import combined_shadow_stats
+from ulik.gaussian_approx import (
+    interferer_gaussian,
+    lognormal_exp_gaussian,
+    region_moments,
+    tau,
+)
+from ulik.lognormal_sum import fit_sum, gh_rule
+from ulik.pipeline import analyze
+from ulik.scenario_io import HotspotDropSpec, gen_hotspot
+from ulik.streams import substream
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return gen_hotspot(HotspotDropSpec(n_cells=5, radius_r=0.02, area_km=(0.2, 0.2), seed=4))
+
+
+def test_matches_the_chain_step_by_step(scenario):
+    """Cell i draws from substream(seed, i); the fit is referenced to P0."""
+    sc = scenario
+    result = analyze(sc, 5_000, 3, m0=20, s1=2.0, s2=0.5, tau_threshold=0.05)
+    g = lognormal_exp_gaussian(combined_shadow_stats(sc.channel, sc.power))
+    comps = []
+    assert [c.cell_id for c in result.cells] == [c.id for c in sc.interfering_cells()]
+    for i, (cell, got) in enumerate(zip(sc.interfering_cells(), result.cells)):
+        m = region_moments(sc.ue_region(cell.id), cell.bs, sc.victim_cell().bs,
+                           sc.channel, sc.power, 5_000, substream(3, i))
+        assert got.moments == m
+        assert got.certificate == tau(m, g, threshold=0.05)
+        assert got.component == interferer_gaussian(sc.power.p0_dbm, m, g)
+        comps.append(got.component)
+    assert result.fit == fit_sum(comps, s1=2.0, s2=0.5, rule=gh_rule(20),
+                                 ref_dbm=sc.power.p0_dbm)

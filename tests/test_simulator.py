@@ -9,6 +9,7 @@ from ulik.geometry import Disk, Point
 from ulik.scenario_io import Cell, NetworkScenario
 from ulik.simulator import (
     SimConfig,
+    _exponential,
     read_samples,
     simulate,
     simulate_shadow_fading_product,
@@ -106,6 +107,27 @@ class TestShadowFadingProduct:
         dist = simulate_shadow_fading_product(0.0, 1_000_000, seed=2)
         h = 10 ** (dist.samples / 10.0)
         assert h.mean() == pytest.approx(1.0, abs=0.003)
+
+
+class FixedDraws:
+    """Stands in for a generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        return self.u[:n]
+
+
+class TestExponentialFading:
+    def test_zero_draw_gives_positive_gain(self, params, pc):
+        h = _exponential(FixedDraws(np.zeros(3)), 3)
+        assert (h > 0).all()
+        assert np.isfinite(interference_db(pc, params, 0.01, 0.02, 0.0, 0.0, h)).all()
+
+    def test_nonzero_draws_unchanged(self):
+        u = np.array([2.0**-53, 1e-9, 0.5, 1.0 - 2.0**-53])
+        np.testing.assert_array_equal(_exponential(FixedDraws(u), 4), -np.log1p(-u))
 
 
 class TestSampleFiles:
