@@ -23,10 +23,10 @@ class ChannelParams:
     def __post_init__(self):
         if not math.isfinite(self.a_db):
             raise ValidationError("reference path loss must be finite")
-        if self.alpha <= 0:
-            raise ValidationError(f"path loss exponent must be positive, got {self.alpha}")
-        if self.sigma_shad_sq < 0:
-            raise ValidationError("shadowing variance must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValidationError(f"path loss exponent must be finite and > 0, got {self.alpha}")
+        if not (math.isfinite(self.sigma_shad_sq) and self.sigma_shad_sq >= 0):
+            raise ValidationError("shadowing variance must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class PowerControl:
     eta: float  # fractional compensation factor, in (0, 1]
 
     def __post_init__(self):
+        if not math.isfinite(self.p0_dbm):
+            raise ValidationError(f"power basis must be finite, got {self.p0_dbm}")
         if not 0 < self.eta <= 1:
             raise ValidationError(f"FPC factor must be in (0, 1], got {self.eta}")
 

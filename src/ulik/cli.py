@@ -66,7 +66,7 @@ def cmd_analyze(args) -> int:
                [[scenario_id, args.s1, args.s2, args.m0, fit.mu_q, fit.var_q,
                  fit.residuals[0], fit.residuals[1], fit.iterations, fit.converged]])
 
-    if fit.var_q > 0:
+    if fit.converged and fit.var_q > 0:
         dist = GaussianApprox(fit.mu_q, fit.var_q)
         grid = _cdf_grid(dist.quantile(0.001), dist.quantile(0.999))
         _write_csv(out / "analytic_cdf.csv", ["value_dbm", "analytic_cdf"],
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UlikError, FileNotFoundError) as exc:
+    except (UlikError, OSError) as exc:
         sys.stderr.write(f"ulik: error: {exc}\n")
         return 2
 

@@ -7,11 +7,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .channel import ChannelParams, PowerControl
-from .errors import PlacementFailureError, SchemaError, ValidationError
+from .errors import PlacementFailureError, SchemaError, UlikError, ValidationError
 from .geometry import (
     Difference,
     Disk,
@@ -22,16 +21,16 @@ from .geometry import (
     Polygon,
     Region,
     Union,
+    sample_uniform_xy,
 )
 from .streams import substream
 
 FORMAT_VERSION = 1
 DEFAULT_MIN_BS_UE_DISTANCE = 0.005  # km
+_TYPE = "type"  # the key that tags a region node
 
 DEFAULT_CHANNEL = ChannelParams(a_db=103.8, alpha=20.9, sigma_shad_sq=100.0, n_antennas=4)
 DEFAULT_POWER = PowerControl(p0_dbm=-76.0, eta=0.8)
-
-_NONEMPTY_PROBE = 100_000
 
 
 @dataclass(frozen=True)
@@ -76,202 +75,175 @@ def _validate(scenario: NetworkScenario) -> NetworkScenario:
         raise ValidationError(f"victim cell {scenario.victim_cell_id!r} is not present")
     if len(ids) < 2:
         raise ValidationError("a scenario needs at least 2 cells")
-    if scenario.min_bs_ue_distance <= 0:
+    if not scenario.min_bs_ue_distance > 0:
         raise ValidationError("min BS-to-UE distance must be positive")
     for c in scenario.cells:
-        if not _probe_nonempty(scenario.ue_region(c.id)):
+        try:
+            sample_uniform_xy(scenario.ue_region(c.id), substream(0), 1)
+        except UlikError as exc:
             raise ValidationError(
-                f"cell {c.id!r}: region is empty after the UE exclusion disk"
-            )
+                f"cell {c.id!r}: region is empty after the UE exclusion disk ({exc})"
+            ) from exc
     return scenario
-
-
-def _probe_nonempty(region: Region) -> bool:
-    (x0, y0), (x1, y1) = region.bounding_box()
-    if not all(map(math.isfinite, (x0, y0, x1, y1))) or x1 < x0 or y1 < y0:
-        return False
-    rng = np.random.Generator(np.random.Philox(12345))
-    xs = rng.uniform(x0, x1, _NONEMPTY_PROBE)
-    ys = rng.uniform(y0, y1, _NONEMPTY_PROBE)
-    return bool(region.mask(xs, ys).any())
 
 
 # ---------------------------------------------------------------------------
 # JSON schema
+#
+# Each JSON value has a kind: read(value, path, lenient) returns the Python
+# value or raises a SchemaError that names the JSON path, and write(value)
+# returns the JSON value.  The region node types are the _REGION_TYPES table.
 
 
-def _require_keys(doc: dict, allowed: set, required: set, path: str, lenient: bool):
-    missing = required - doc.keys()
-    if missing:
-        raise SchemaError(f"{path}: missing field(s) {sorted(missing)}")
-    if not lenient:
-        unknown = doc.keys() - allowed
-        if unknown:
-            raise SchemaError(f"{path}: unknown field(s) {sorted(unknown)}")
+class _Kind(NamedTuple):
+    read: Callable
+    write: Callable
 
 
-def _point(values, path) -> Point:
-    if not (isinstance(values, list) and len(values) == 2):
-        raise SchemaError(f"{path}: expected [x, y]")
+def _expect(value, types, path: str, what: str):
+    if isinstance(value, bool) or not isinstance(value, types):  # the format has no booleans
+        raise SchemaError(f"{path}: expected {what}")
+    return value
+
+
+def _read_number(value, path: str, lenient: bool = False) -> float:
     try:
-        return Point(float(values[0]), float(values[1]))
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise SchemaError(f"{path}: expected a finite number")
+
+
+def _scalar(cls, what: str) -> _Kind:
+    return _Kind(lambda value, path, lenient=False: _expect(value, cls, path, what), cls)
+
+
+_STRING = _scalar(str, "a string")
+
+
+def _read_point(value, path: str, lenient: bool = False) -> Point:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise SchemaError(f"{path}: expected [x, y]")
+    return Point(*(_read_number(v, f"{path}[{i}]") for i, v in enumerate(value)))
+
+
+def _read_labels(value, path: str, lenient: bool = False) -> dict:
+    return {k: _STRING.read(v, f"{path}.{k}")
+            for k, v in _expect(value, dict, path, "an object").items()}
+
+
+def _list_of(kind: _Kind) -> _Kind:
+    def read(value, path, lenient=False):
+        return tuple(kind.read(v, f"{path}[{i}]", lenient)
+                     for i, v in enumerate(_expect(value, list, path, "a list")))
+
+    return _Kind(read, lambda values: [kind.write(v) for v in values])
+
+
+class _Record:
+    """A JSON object read into ``cls(**fields)`` and written from its attributes.
+
+    Each field is (json key, attribute, kind); an attribute of None is the
+    key itself.  Fields named in ``optional`` fall back to the class default.
+    """
+
+    def __init__(self, cls, *fields, optional=()):
+        self.cls = cls
+        self.fields = [(key, attr or key, kind) for key, attr, kind in fields]
+        self.optional = set(optional)
+
+    def read(self, doc, path: str, lenient: bool = False):
+        keys = {key for key, _, _ in self.fields}
+        missing = keys - self.optional - _expect(doc, dict, path, "an object").keys()
+        if missing:
+            raise SchemaError(f"{path}: missing field(s) {sorted(missing)}")
+        unknown = doc.keys() - keys
+        if unknown and not lenient:
+            raise SchemaError(f"{path}: unknown field(s) {sorted(unknown)}")
+        values = {attr: kind.read(doc[key], f"{path}.{key}", lenient)
+                  for key, attr, kind in self.fields if key in doc}
+        try:
+            return self.cls(**values)
+        except ValidationError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+
+    def write(self, obj) -> dict:
+        return {key: kind.write(getattr(obj, attr)) for key, attr, kind in self.fields}
 
 
 def region_from_dict(doc, path: str = "region", lenient: bool = False) -> Region:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object")
-    kind = doc.get("type")
-    try:
-        if kind == "disk":
-            _require_keys(doc, {"type", "center_km", "radius_km"},
-                          {"type", "center_km", "radius_km"}, path, lenient)
-            return Disk(_point(doc["center_km"], f"{path}.center_km"),
-                        float(doc["radius_km"]))
-        if kind == "ellipse":
-            keys = {"type", "center_km", "semi_major_km", "semi_minor_km", "rotation_rad"}
-            _require_keys(doc, keys, keys, path, lenient)
-            return Ellipse(
-                _point(doc["center_km"], f"{path}.center_km"),
-                float(doc["semi_major_km"]),
-                float(doc["semi_minor_km"]),
-                float(doc["rotation_rad"]),
-            )
-        if kind == "polygon":
-            _require_keys(doc, {"type", "vertices_km"}, {"type", "vertices_km"},
-                          path, lenient)
-            verts = doc["vertices_km"]
-            if not isinstance(verts, list):
-                raise SchemaError(f"{path}.vertices_km: expected a list")
-            return Polygon(tuple(
-                _point(v, f"{path}.vertices_km[{i}]") for i, v in enumerate(verts)
-            ))
-        if kind == "halfplane":
-            _require_keys(doc, {"type", "point_km", "normal"},
-                          {"type", "point_km", "normal"}, path, lenient)
-            return HalfPlane(_point(doc["point_km"], f"{path}.point_km"),
-                             _point(doc["normal"], f"{path}.normal"))
-        if kind in ("intersection", "union"):
-            _require_keys(doc, {"type", "children"}, {"type", "children"}, path, lenient)
-            children = tuple(
-                region_from_dict(c, f"{path}.children[{i}]", lenient)
-                for i, c in enumerate(doc["children"])
-            )
-            return Intersection(children) if kind == "intersection" else Union(children)
-        if kind == "difference":
-            _require_keys(doc, {"type", "left", "right"}, {"type", "left", "right"},
-                          path, lenient)
-            return Difference(region_from_dict(doc["left"], f"{path}.left", lenient),
-                              region_from_dict(doc["right"], f"{path}.right", lenient))
-    except ValidationError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    raise SchemaError(f"{path}.type: unknown region type {kind!r}")
+    kind = _expect(doc, dict, path, "an object").get(_TYPE)
+    record = _REGION_TYPES.get(kind) if isinstance(kind, str) else None
+    if record is None:
+        raise SchemaError(f"{path}.{_TYPE}: unknown region type {kind!r}")
+    return record.read({k: v for k, v in doc.items() if k != _TYPE}, path, lenient)
 
 
 def region_to_dict(region: Region) -> dict:
-    if isinstance(region, Disk):
-        return {"type": "disk", "center_km": [region.center.x, region.center.y],
-                "radius_km": region.radius}
-    if isinstance(region, Ellipse):
-        return {"type": "ellipse", "center_km": [region.center.x, region.center.y],
-                "semi_major_km": region.semi_major, "semi_minor_km": region.semi_minor,
-                "rotation_rad": region.rotation}
-    if isinstance(region, Polygon):
-        return {"type": "polygon",
-                "vertices_km": [[p.x, p.y] for p in region.vertices]}
-    if isinstance(region, HalfPlane):
-        return {"type": "halfplane", "point_km": [region.point.x, region.point.y],
-                "normal": [region.normal.x, region.normal.y]}
-    if isinstance(region, Intersection):
-        return {"type": "intersection",
-                "children": [region_to_dict(c) for c in region.children]}
-    if isinstance(region, Union):
-        return {"type": "union",
-                "children": [region_to_dict(c) for c in region.children]}
-    if isinstance(region, Difference):
-        return {"type": "difference", "left": region_to_dict(region.left),
-                "right": region_to_dict(region.right)}
+    for kind, record in _REGION_TYPES.items():
+        if isinstance(region, record.cls):
+            return {_TYPE: kind, **record.write(region)}
     raise ValidationError(f"unserializable region node {type(region).__name__}")
 
 
-def scenario_from_dict(doc: dict, lenient: bool = False) -> NetworkScenario:
-    top = {"format_version", "victim_cell_id", "min_bs_ue_distance_km",
-           "channel", "power", "cells", "metadata"}
-    _require_keys(doc, top, {"format_version", "victim_cell_id", "channel",
-                             "power", "cells"}, "$", lenient)
-    if doc["format_version"] != FORMAT_VERSION:
-        raise SchemaError(f"$.format_version: unsupported version {doc['format_version']}")
+_NUMBER = _Kind(_read_number, float)
+_POINT = _Kind(_read_point, lambda p: [p.x, p.y])
+_REGION = _Kind(region_from_dict, region_to_dict)
+_CENTER = ("center_km", "center", _POINT)
+_CHILDREN = ("children", None, _list_of(_REGION))
 
-    ch = doc["channel"]
-    ch_keys = {"A_db", "alpha", "sigma_shad_sq", "n_antennas"}
-    _require_keys(ch, ch_keys, {"A_db", "alpha", "sigma_shad_sq"}, "$.channel", lenient)
-    pw = doc["power"]
-    _require_keys(pw, {"p0_dbm", "eta"}, {"p0_dbm", "eta"}, "$.power", lenient)
+_REGION_TYPES = {
+    "disk": _Record(Disk, _CENTER, ("radius_km", "radius", _NUMBER)),
+    "ellipse": _Record(Ellipse, _CENTER, ("semi_major_km", "semi_major", _NUMBER),
+                       ("semi_minor_km", "semi_minor", _NUMBER),
+                       ("rotation_rad", "rotation", _NUMBER)),
+    "polygon": _Record(Polygon, ("vertices_km", "vertices", _list_of(_POINT))),
+    "halfplane": _Record(HalfPlane, ("point_km", "point", _POINT), ("normal", None, _POINT)),
+    "intersection": _Record(Intersection, _CHILDREN),
+    "union": _Record(Union, _CHILDREN),
+    "difference": _Record(Difference, ("left", None, _REGION), ("right", None, _REGION)),
+}
+
+_SCENARIO = _Record(
+    NetworkScenario,
+    ("victim_cell_id", None, _STRING),
+    ("min_bs_ue_distance_km", "min_bs_ue_distance", _NUMBER),
+    ("channel", None, _Record(
+        ChannelParams, ("A_db", "a_db", _NUMBER), ("alpha", None, _NUMBER),
+        ("sigma_shad_sq", None, _NUMBER), ("n_antennas", None, _scalar(int, "an integer")),
+        optional={"n_antennas"})),
+    ("power", None, _Record(PowerControl, ("p0_dbm", None, _NUMBER), ("eta", None, _NUMBER))),
+    ("cells", None, _list_of(_Record(
+        Cell, ("id", None, _STRING), ("bs_km", "bs", _POINT), ("region", None, _REGION)))),
+    ("metadata", None, _Kind(_read_labels, dict)),
+    optional={"min_bs_ue_distance_km", "metadata"},
+)
+
+
+def scenario_from_dict(doc, lenient: bool = False) -> NetworkScenario:
+    body = dict(_expect(doc, dict, "$", "an object"))
+    version = body.pop("format_version", None)
+    if version != FORMAT_VERSION:
+        raise SchemaError(f"$.format_version: expected {FORMAT_VERSION}, got {version!r}")
     try:
-        channel = ChannelParams(
-            a_db=float(ch["A_db"]), alpha=float(ch["alpha"]),
-            sigma_shad_sq=float(ch["sigma_shad_sq"]),
-            n_antennas=int(ch.get("n_antennas", 1)),
-        )
-        power = PowerControl(p0_dbm=float(pw["p0_dbm"]), eta=float(pw["eta"]))
-    except ValidationError as exc:
-        raise SchemaError(f"$.channel/$.power: {exc}") from exc
-
-    if not isinstance(doc["cells"], list):
-        raise SchemaError("$.cells: expected a list")
-    cells = []
-    for i, cd in enumerate(doc["cells"]):
-        path = f"$.cells[{i}]"
-        _require_keys(cd, {"id", "bs_km", "region"}, {"id", "bs_km", "region"},
-                      path, lenient)
-        cells.append(Cell(
-            id=str(cd["id"]),
-            bs=_point(cd["bs_km"], f"{path}.bs_km"),
-            region=region_from_dict(cd["region"], f"{path}.region", lenient),
-        ))
-
-    scenario = NetworkScenario(
-        cells=tuple(cells),
-        victim_cell_id=str(doc["victim_cell_id"]),
-        channel=channel,
-        power=power,
-        min_bs_ue_distance=float(doc.get("min_bs_ue_distance_km",
-                                         DEFAULT_MIN_BS_UE_DISTANCE)),
-        metadata=dict(doc.get("metadata", {})),
-    )
-    return _validate(scenario)
+        return _validate(_SCENARIO.read(body, "$", lenient))
+    except RecursionError as exc:
+        raise SchemaError("$: regions are nested too deeply") from exc
 
 
 def scenario_to_dict(scenario: NetworkScenario) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "victim_cell_id": scenario.victim_cell_id,
-        "min_bs_ue_distance_km": scenario.min_bs_ue_distance,
-        "channel": {
-            "A_db": scenario.channel.a_db,
-            "alpha": scenario.channel.alpha,
-            "sigma_shad_sq": scenario.channel.sigma_shad_sq,
-            "n_antennas": scenario.channel.n_antennas,
-        },
-        "power": {"p0_dbm": scenario.power.p0_dbm, "eta": scenario.power.eta},
-        "cells": [
-            {"id": c.id, "bs_km": [c.bs.x, c.bs.y], "region": region_to_dict(c.region)}
-            for c in scenario.cells
-        ],
-        "metadata": scenario.metadata,
-    }
+    return {"format_version": FORMAT_VERSION, **_SCENARIO.write(scenario)}
 
 
 def load_scenario(source, lenient: bool = False) -> NetworkScenario:
-    """Load a scenario from a dict, a JSON string or a file path."""
+    """Load a scenario from a dict or a UTF-8 JSON file path."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = Path(source).read_text(encoding="utf-8")
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SchemaError(f"{source}: invalid JSON ({exc})") from exc
     return scenario_from_dict(doc, lenient=lenient)
 
@@ -330,8 +302,8 @@ def gen_single_interferer(
         victim_cell_id="victim",
         channel=DEFAULT_CHANNEL,
         power=DEFAULT_POWER,
-        metadata={"generator": "single_interferer", "shape": shape,
-                  "radius_km": str(r), "seed": str(seed)},
+        metadata=dict(generator="single_interferer", shape=shape,
+                      radius_km=str(r), seed=str(seed)),
     )
     return _validate(scenario)
 
@@ -407,8 +379,8 @@ def gen_hotspot(spec: HotspotDropSpec) -> NetworkScenario:
         victim_cell_id=victim.id,
         channel=DEFAULT_CHANNEL,
         power=DEFAULT_POWER,
-        metadata={"generator": "hotspot", "seed": str(spec.seed),
-                  "radius_km": str(spec.radius_r)},
+        metadata=dict(generator="hotspot", seed=str(spec.seed),
+                      radius_km=str(spec.radius_r)),
     )
     return _validate(scenario)
 
@@ -436,6 +408,6 @@ def gen_hex_grid(n_rings: int, pitch: float, r: float) -> NetworkScenario:
         victim_cell_id="cell_00",
         channel=DEFAULT_CHANNEL,
         power=DEFAULT_POWER,
-        metadata={"generator": "hex_grid", "pitch_km": str(pitch), "radius_km": str(r)},
+        metadata=dict(generator="hex_grid", pitch_km=str(pitch), radius_km=str(r)),
     )
     return _validate(scenario)

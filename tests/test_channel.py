@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -128,3 +130,12 @@ class TestParamValidation:
     def test_shadowing_nonnegative(self):
         with pytest.raises(ValidationError):
             ChannelParams(103.8, 20.9, -0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        for make in (lambda: ChannelParams(103.8, bad, 100.0),
+                     lambda: ChannelParams(103.8, 20.9, bad),
+                     lambda: PowerControl(bad, 0.8),
+                     lambda: PowerControl(-76.0, bad)):
+            with pytest.raises(ValidationError):
+                make()

@@ -44,6 +44,23 @@ class TestGen:
         assert len(json.loads(out.read_text())["cells"]) == 7
 
 
+# Each malformed variant of the two-cell scenario, keyed by the JSON path of its bad field.
+_MALFORMED = {
+    "$": lambda d: [],
+    "$.cells[1].region.children": lambda d: d["cells"][1]["region"].update(children=5),
+    "$.cells[1].region.children[0].radius_km":
+        lambda d: d["cells"][1]["region"]["children"][0].update(radius_km=[1]),
+    "$.channel.A_db": lambda d: d["channel"].update(A_db={}),
+    "$.channel.n_antennas": lambda d: d["channel"].update(n_antennas="four"),
+    "$.cells[1]": lambda d: d["cells"].__setitem__(1, "x"),
+    "$.channel": lambda d: d.update(channel=3),
+    "$.metadata": lambda d: d.update(metadata=5),
+    "$.min_bs_ue_distance_km": lambda d: d.update(min_bs_ue_distance_km="nan"),
+    "$.channel.sigma_shad_sq": lambda d: d["channel"].update(sigma_shad_sq="inf"),
+    "$.power.p0_dbm": lambda d: d["power"].update(p0_dbm=math.nan),
+}
+
+
 class TestAnalyze:
     def test_b2_identity_fit(self, tmp_path, b2_scenario, capsys):
         out = tmp_path / "analysis"
@@ -66,6 +83,25 @@ class TestAnalyze:
         rc = run("analyze", tmp_path / "nope.json", "--out", tmp_path / "x")
         assert rc != 0
 
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+    def test_unreadable_scenario(self, tmp_path, capsys, kind):
+        path = tmp_path
+        if kind == "non_utf8":
+            path = tmp_path / "latin1.json"
+            path.write_bytes('{"victim_cell_id": "\u00e9"}'.encode("latin-1"))
+        assert run("analyze", path, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith("ulik: error: ")
+
+    @pytest.mark.parametrize("path", list(_MALFORMED))
+    def test_malformed_scenario_names_json_path(self, tmp_path, b2_scenario, capsys, path):
+        doc = json.loads(b2_scenario.read_text())
+        replaced = _MALFORMED[path](doc)
+        doc = doc if replaced is None else replaced
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("analyze", bad, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith(f"ulik: error: {path}: expected ")
+
     def test_design_point_without_root(self, tmp_path, capsys):
         # On this drop the 12-node Gauss-Hermite MGF has no fit at (1e4, 1e3):
         # a result to report, not a tool failure.
@@ -74,6 +110,8 @@ class TestAnalyze:
         assert run("analyze", path, "--samples", 20_000, "--seed", 0, "--s1", 1e4,
                    "--s2", 1e3, "--out", tmp_path / "ana") == 0
         assert "converged=false" in capsys.readouterr().out.splitlines()
+        # The solver's last iterate matches no MGF, so it gets no CDF.
+        assert not (tmp_path / "ana" / "analytic_cdf.csv").exists()
 
     def test_tau_failures_do_not_fail_run(self, tmp_path, b2_scenario):
         out = tmp_path / "strict"

@@ -1,10 +1,15 @@
 import json
 import math
+import tempfile
+from functools import reduce
+from operator import getitem
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ulik.errors import PlacementFailureError, SchemaError, ValidationError
+from ulik.errors import PlacementFailureError, SchemaError, UlikError, ValidationError
 from ulik.geometry import Disk, Point, sample_uniform_xy
 from ulik.scenario_io import (
     HotspotDropSpec,
@@ -75,6 +80,14 @@ class TestLoadScenario:
         assert not region.contains(Point(0.03, 0.0))
         assert region.contains(Point(0.03, 0.01))
 
+    def test_deep_region_tree_is_a_schema_error(self):
+        doc = minimal_doc()
+        cell = doc["cells"][1]
+        for _ in range(1000):
+            cell["region"] = {"type": "union", "children": [cell["region"]]}
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            scenario_from_dict(doc)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(minimal_doc()))
@@ -93,6 +106,76 @@ class TestRoundTrip:
         save_scenario(scenario, path)
         back = load_scenario(path)
         assert scenario_to_dict(back) == scenario_to_dict(scenario)
+
+
+def all_region_types_doc():
+    """The two-cell document plus a third cell whose region uses every node type."""
+    doc = minimal_doc()
+    doc["cells"].append({"id": "c3", "bs_km": [0.0, 0.04], "region": {
+        "type": "difference",
+        "left": {"type": "union", "children": [
+            {"type": "intersection", "children": [
+                {"type": "ellipse", "center_km": [0.0, 0.04], "semi_major_km": 0.02,
+                 "semi_minor_km": 0.01, "rotation_rad": 0.5},
+                {"type": "halfplane", "point_km": [0.0, 0.04], "normal": [0.0, 1.0]},
+            ]},
+            {"type": "polygon", "vertices_km": [[-0.01, 0.03], [0.01, 0.03], [0.0, 0.05]]},
+        ]},
+        "right": {"type": "disk", "center_km": [0.0, 0.06], "radius_km": 0.005},
+    }})
+    doc["metadata"] = {"note": "every region node type"}
+    return doc
+
+
+def json_paths(value, path=()):
+    """The key path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from json_paths(child, path + (key,))
+
+
+GENERATED_SCENARIOS = st.one_of(
+    st.builds(lambda n, r, seed: gen_hotspot(HotspotDropSpec(n_cells=n, radius_r=r, seed=seed)),
+              st.integers(2, 20), st.floats(0.01, 0.03), st.integers(0, 2**32 - 1)),
+    st.builds(gen_single_interferer, st.floats(0.01, 0.05),
+              st.sampled_from(["disk", "paper_irregular"])),
+    st.builds(gen_hex_grid, st.integers(1, 2), st.floats(0.03, 0.06), st.floats(0.01, 0.03)),
+)
+
+JUNK = st.one_of(
+    st.none(), st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2), st.integers(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+class TestCodecProperties:
+    def test_all_region_types_doc_is_valid(self):
+        doc = all_region_types_doc()
+        assert scenario_to_dict(scenario_from_dict(doc)) == doc
+
+    @settings(max_examples=30, deadline=None)
+    @given(GENERATED_SCENARIOS)
+    def test_save_load_save_byte_identical(self, scenario):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+            save_scenario(scenario, first)
+            save_scenario(load_scenario(first), second)
+            assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(list(json_paths(all_region_types_doc()))), JUNK)
+    def test_malformed_node_raises_only_ulik_errors(self, path, junk):
+        doc = all_region_types_doc()
+        if path:
+            reduce(getitem, path[:-1], doc)[path[-1]] = junk
+        else:
+            doc = junk
+        try:
+            scenario_from_dict(doc)
+        except UlikError:
+            pass
 
 
 class TestGenSingleInterferer:
@@ -152,15 +235,12 @@ class TestGenHotspot:
 
     def test_regions_disjoint(self):
         sc = gen_hotspot(HotspotDropSpec(n_cells=30, seed=5))
-        regions = [(c.id, sc.ue_region(c.id)) for c in sc.cells]
-        for cid, region in regions:
-            xs, ys = sample_uniform_xy(region, substream(6, hash(cid) % 2**32), 300)
-            for ocid, other in regions:
-                if ocid == cid:
-                    continue
-                claimed = [other.contains(Point(float(x), float(y)))
-                           for x, y in zip(xs, ys)]
-                assert not any(claimed)
+        regions = [sc.ue_region(c.id) for c in sc.cells]
+        for i, region in enumerate(regions):
+            xs, ys = sample_uniform_xy(region, substream(6, i), 300)
+            for j, other in enumerate(regions):
+                if j != i:
+                    assert not other.mask(xs, ys).any()
 
     def test_victim_is_near_centroid(self):
         sc = gen_hotspot(HotspotDropSpec(seed=3))
