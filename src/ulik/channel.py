@@ -1,5 +1,5 @@
-"""Deterministic channel formulas: path loss, fractional power control and
-per-interferer dB-domain interference assembly.
+"""The channel model: path-loss and power-control parameters, and the
+per-interferer dB-domain interference at a UE position.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveDistanceError, NonpositiveFadingError, ValidationError
-from .gaussian_approx import GaussianApprox
+from .errors import NonpositiveFadingError, ValidationError
+from .gaussian_approx import GaussianApprox, pathloss_difference
 
 
 @dataclass(frozen=True)
@@ -41,31 +41,23 @@ class PowerControl:
             raise ValidationError(f"FPC factor must be in (0, 1], got {self.eta}")
 
 
-def path_loss(params: ChannelParams, d):
-    """Path loss in dB at distance d km: A + alpha * log10(d)."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise NonpositiveDistanceError("path loss needs a positive distance")
-    out = params.a_db + params.alpha * np.log10(d)
-    return float(out) if out.ndim == 0 else out
+def interference_db(pc: PowerControl, params: ChannelParams, xs, ys, own_bs, victim_bs,
+                    s_own, s_vic, h):
+    """Received interference power in dBm at the victim BS from a UE at (xs, ys)
+    served by own_bs: P0 + L + (eta*s_own - s_vic) + 10*log10(h).
 
-
-def interference_db(pc: PowerControl, params: ChannelParams, d_bb, d_b1, s_bb, s_b1, h_b1):
-    """Received interference power in dBm at the victim BS.
-
-    d_bb is UE-to-serving-BS distance, d_b1 UE-to-victim distance, s_* the
-    shadowing realizations in dB and h_b1 the effective (linear) fading gain.
+    L is gaussian_approx.pathloss_difference, the variable whose moments the
+    analysis integrates; s_* are the shadowing realizations in dB and h the
+    effective (linear) fading gain.
     """
-    h_b1 = np.asarray(h_b1, dtype=float)
-    if np.any(h_b1 <= 0):
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
         raise NonpositiveFadingError("effective fading gain must be positive")
-    l_bb = path_loss(params, d_bb)
-    l_b1 = path_loss(params, d_b1)
     out = (
         pc.p0_dbm
-        + (pc.eta * l_bb - l_b1)
-        + (pc.eta * np.asarray(s_bb) - np.asarray(s_b1))
-        + 10.0 * np.log10(h_b1)
+        + pathloss_difference(xs, ys, own_bs, victim_bs, params, pc)
+        + (pc.eta * np.asarray(s_own) - np.asarray(s_vic))
+        + 10.0 * np.log10(h)
     )
     return float(out) if np.ndim(out) == 0 else out
 

@@ -83,17 +83,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.samples < 1:
-        raise ValidationError(f"need a positive sample count, got {args.samples}")
+    cfg = simulator.SimConfig(
+        n_samples=args.samples, seed=args.seed,
+        record_per_cell=args.per_cell, threads=args.threads,
+    )
     scenario = scenario_io.load_scenario(args.scenario, lenient=args.lenient)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
-    cfg = simulator.SimConfig(
-        n_samples=args.samples, seed=args.seed,
-        record_per_cell=args.per_cell, threads=args.threads,
-    )
     result = simulator.simulate(scenario, cfg)
 
     agg = result.aggregate_dbm

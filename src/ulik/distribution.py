@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DomainMismatchError, NonpositiveValueError, ValidationError
 from .gaussian_approx import GaussianApprox
@@ -51,10 +50,7 @@ class LognormalDist:
         v = np.asarray(v, dtype=float)
         if np.any(v <= 0):
             raise NonpositiveValueError("lognormal CDF needs v > 0")
-        out = 0.5 + 0.5 * erf(
-            (ZETA * np.log(v) - self.mu_q) / math.sqrt(2.0 * self.var_q)
-        )
-        return float(out) if out.ndim == 0 else out
+        return GaussianApprox(self.mu_q, self.var_q).cdf(ZETA * np.log(v))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,6 @@ class DegenerateGeometryError(UlikError):
     """A sampled UE position coincides with a base station."""
 
 
-class NonpositiveDistanceError(UlikError):
-    pass
-
-
 class NonpositiveFadingError(UlikError):
     pass
 

@@ -98,7 +98,9 @@ def lognormal_exp_gaussian(s_stats: GaussianApprox) -> GaussianApprox:
 
 
 def pathloss_difference(xs, ys, own_bs, victim_bs, params, pc):
-    """The dB-domain variable (eta-1)*A + alpha*log10(d_own^eta / d_victim)."""
+    """The path-loss difference L = (eta-1)*A + alpha*log10(d_own^eta / d_victim)
+    in dB, the one kernel behind both the region moments and the simulator's
+    channel.interference_db."""
     d_own = np.hypot(xs - own_bs.x, ys - own_bs.y)
     d_vic = np.hypot(xs - victim_bs.x, ys - victim_bs.y)
     if np.any(d_own <= 0) or np.any(d_vic <= 0):

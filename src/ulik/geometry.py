@@ -261,8 +261,9 @@ def sample_uniform_xy(
     ys_out = np.empty(n)
     got = 0
     trials = 0
+    floor = 1024  # doubles while nothing is accepted, so an empty region fails fast
     while got < n:
-        m = min(_BATCH, max(4 * (n - got), 1024))
+        m = min(_BATCH, max(4 * (n - got), floor))
         xs = rng.uniform(x0, x1, m)
         ys = rng.uniform(y0, y1, m)
         keep = region.mask(xs, ys)
@@ -273,6 +274,8 @@ def sample_uniform_xy(
             ys_out[got : got + take] = ys[keep][:take]
             got += take
         trials += m
+        if not got:
+            floor = min(2 * floor, _BATCH)
         if trials >= MAX_REJECTION_TRIALS and got < trials * ACCEPTANCE_FLOOR:
             raise EmptyRegionError(
                 f"acceptance rate {got / trials:.2e} below {ACCEPTANCE_FLOOR} "

@@ -23,6 +23,9 @@ _MAX_NEWTON_ITER = 200
 # times a step is halved before the iteration gives up.
 _MAX_LOG_SIGMA_STEP = 1.0
 _MAX_HALVINGS = 10
+# Stall stop: give up when this many accepted steps shrink the residual by
+# less than a decade.
+_STALL_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -147,9 +150,10 @@ def fit_sum(
     Fenton-Wilkinson seed, with the analytic Jacobian of the GH log-MGF,
     steps scaled so that |d log sigma| <= 1, and at most 10 halvings to a
     trial point whose residuals are finite and smaller.  When no such point
-    exists, or the Jacobian is singular, the iteration stops and the fit
-    carries the last iterate with converged=False; at design points where
-    the quadrature has no root this is the outcome.
+    exists, the Jacobian is singular, or _STALL_STEPS accepted steps shrink
+    the residual by less than a decade, the iteration stops at the last
+    iterate, and converged says whether its residuals meet RESIDUAL_TOL; at
+    design points where the quadrature has no root it is False.
     """
     if not components:
         raise ValidationError("need at least one component")
@@ -185,6 +189,7 @@ def fit_sum(
     scale = np.array([max(abs(t), 1e-300) for t in targets])
     f = _residuals(mu, ls, targets, s_points, rule)
     size = float(np.max(np.abs(f)))
+    sizes = [size]
     iterations = 0
     while size > _TARGET_TOL and iterations < budget:
         iterations += 1
@@ -205,6 +210,9 @@ def fit_sum(
             break
         mu, ls = mu + step[0], ls + step[1]
         f, size = f_new, float(np.max(np.abs(f_new)))
+        sizes.append(size)
+        if len(sizes) > _STALL_STEPS and size > 0.1 * sizes[-1 - _STALL_STEPS]:
+            break
 
     with np.errstate(over="ignore"):
         rel = tuple(float(r) for r in np.expm1(f * np.abs(targets)))

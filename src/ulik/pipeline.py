@@ -4,6 +4,7 @@
 from dataclasses import dataclass
 
 from . import channel, gaussian_approx, lognormal_sum
+from .errors import EmptyRegionError
 from .gaussian_approx import GaussianApprox, RegionMoments, TauCertificate
 from .lognormal_sum import LognormalFit
 from .streams import substream
@@ -39,9 +40,12 @@ def analyze(scenario, samples: int, seed: int, *, m0: int = 12, s1: float = 1.0,
     p0 = scenario.power.p0_dbm
     cells = []
     for idx, cell in enumerate(scenario.interfering_cells()):
-        moments = gaussian_approx.region_moments(
-            scenario.ue_region(cell.id), cell.bs, scenario.victim_cell().bs,
-            scenario.channel, scenario.power, samples, substream(seed, idx))
+        try:
+            moments = gaussian_approx.region_moments(
+                scenario.ue_region(cell.id), cell.bs, scenario.victim_cell().bs,
+                scenario.channel, scenario.power, samples, substream(seed, idx))
+        except EmptyRegionError as exc:
+            raise EmptyRegionError(f"cell {cell.id!r}: {exc}") from exc
         cells.append(CellAnalysis(cell.id, moments,
                                   gaussian_approx.tau(moments, g, threshold=tau_threshold),
                                   gaussian_approx.interferer_gaussian(p0, moments, g)))

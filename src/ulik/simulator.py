@@ -17,7 +17,7 @@ from scipy.special import ndtri
 
 from . import channel, geometry
 from .distribution import DBM, EmpiricalDistribution
-from .errors import SchemaError, ValidationError
+from .errors import EmptyRegionError, SchemaError, ValidationError
 from .streams import substream
 
 _LN10 = math.log(10.0)
@@ -38,7 +38,6 @@ class SimConfig:
     seed: int = 0
     record_per_cell: bool = False
     threads: int = 1
-    unit_fading: bool = False  # test hook: force h == 1
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -68,29 +67,28 @@ def _exponential(rng, n):
 class _CellSampler:
     """Owns one interfering cell's region and RNG substreams."""
 
-    def __init__(self, cell, region, victim_bs, params, pc, seed, index, unit_fading):
+    def __init__(self, cell, region, victim_bs, params, pc, seed, index):
         self.cell = cell
         self.region = region
         self.victim_bs = victim_bs
         self.params = params
         self.pc = pc
-        self.unit_fading = unit_fading
         self.rng_pos = substream(seed, index, _TAG_POS)
         self.rng_s_own = substream(seed, index, _TAG_S_OWN)
         self.rng_s_vic = substream(seed, index, _TAG_S_VICTIM)
         self.rng_h = substream(seed, index, _TAG_FADING)
 
     def draw_block(self, m: int) -> np.ndarray:
-        xs, ys = geometry.sample_uniform_xy(self.region, self.rng_pos, m)
-        d_own = np.hypot(xs - self.cell.bs.x, ys - self.cell.bs.y)
-        d_vic = np.hypot(xs - self.victim_bs.x, ys - self.victim_bs.y)
+        try:
+            xs, ys = geometry.sample_uniform_xy(self.region, self.rng_pos, m)
+        except EmptyRegionError as exc:
+            raise EmptyRegionError(f"cell {self.cell.id!r}: {exc}") from exc
         sigma = math.sqrt(self.params.sigma_shad_sq)
         s_own = sigma * _standard_normal(self.rng_s_own, m)
         s_vic = sigma * _standard_normal(self.rng_s_vic, m)
-        h = np.ones(m) if self.unit_fading else _exponential(self.rng_h, m)
-        return channel.interference_db(
-            self.pc, self.params, d_own, d_vic, s_own, s_vic, h
-        )
+        h = _exponential(self.rng_h, m)
+        return channel.interference_db(self.pc, self.params, xs, ys, self.cell.bs,
+                                       self.victim_bs, s_own, s_vic, h)
 
 
 def simulate(scenario, cfg: SimConfig) -> SimResult:
@@ -108,7 +106,6 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
             scenario.power,
             cfg.seed,
             idx,
-            cfg.unit_fading,
         )
         for idx, cell in enumerate(interferers)
     ]

@@ -1,37 +1,73 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ulik.channel import (
-    ChannelParams,
-    PowerControl,
-    combined_shadow_stats,
-    interference_db,
-    path_loss,
-)
-from ulik.errors import NonpositiveDistanceError, NonpositiveFadingError, ValidationError
+from ulik.channel import ChannelParams, PowerControl, combined_shadow_stats, interference_db
+from ulik.errors import DegenerateGeometryError, NonpositiveFadingError, ValidationError
+from ulik.gaussian_approx import pathloss_difference
+from ulik.geometry import Point
+
+UE = Point(0.0, 0.0)
+
+
+def path_loss(params, d):
+    """A + alpha * log10(d), written out here as the reference for the kernel."""
+    return params.a_db + params.alpha * math.log10(d)
+
+
+def at(d, angle=0.0):
+    """The point at distance d km from the UE, in the given direction."""
+    return Point(d * math.cos(angle), d * math.sin(angle))
 
 
 class TestPathLoss:
-    def test_reference_distance(self, params):
-        assert path_loss(params, 1.0) == pytest.approx(103.8)
+    """The kernel L = (eta-1)*A + alpha*(eta*log10 d_own - log10 d_vic).  With
+    the own BS at the 1 km reference distance, eta*A - L is the victim link's
+    path loss A + alpha*log10(d_vic)."""
 
-    def test_10m(self, params):
-        assert path_loss(params, 0.01) == pytest.approx(103.8 - 2 * 20.9)
+    @staticmethod
+    def victim_loss(params, pc, d):
+        return pc.eta * params.a_db - pathloss_difference(
+            UE.x, UE.y, at(1.0), at(d, math.pi / 2), params, pc)
 
-    def test_100m(self, params):
-        assert path_loss(params, 0.1) == pytest.approx(82.9)
+    def test_reference_distance(self, params, pc):
+        assert self.victim_loss(params, pc, 1.0) == pytest.approx(103.8)
 
-    def test_nonpositive_distance(self, params):
-        with pytest.raises(NonpositiveDistanceError):
-            path_loss(params, 0.0)
+    def test_10m(self, params, pc):
+        assert self.victim_loss(params, pc, 0.01) == pytest.approx(103.8 - 2 * 20.9)
 
-    @given(st.floats(1e-4, 10.0), st.floats(1e-4, 10.0))
-    def test_monotone_in_distance(self, d1, d2):
-        p = ChannelParams(103.8, 20.9, 100.0)
+    def test_100m(self, params, pc):
+        assert self.victim_loss(params, pc, 0.1) == pytest.approx(82.9)
+
+    def test_nonpositive_distance(self, params, pc):
+        for own, victim in ((UE, at(0.01)), (at(0.01), UE)):
+            with pytest.raises(DegenerateGeometryError):
+                pathloss_difference(UE.x, UE.y, own, victim, params, pc)
+
+    @given(st.floats(1e-4, 10.0), st.floats(1e-4, 10.0), st.floats(0.01, 1.0))
+    def test_monotone_in_distance(self, d1, d2, eta):
+        p, pc = ChannelParams(103.8, 20.9, 100.0), PowerControl(-76.0, eta)
         lo, hi = sorted((d1, d2))
-        assert path_loss(p, lo) <= path_loss(p, hi)
+        # Farther from the victim lowers L; farther from the own BS raises it.
+        assert (pathloss_difference(UE.x, UE.y, at(0.02), at(lo, 1.0), p, pc)
+                >= pathloss_difference(UE.x, UE.y, at(0.02), at(hi, 1.0), p, pc))
+        assert (pathloss_difference(UE.x, UE.y, at(lo), at(0.02, 1.0), p, pc)
+                <= pathloss_difference(UE.x, UE.y, at(hi), at(0.02, 1.0), p, pc))
+
+    def test_arrays_match_scalars(self, params, pc):
+        xs, ys = np.array([0.001, -0.004, 0.01]), np.array([0.002, 0.003, -0.007])
+        own, victim = Point(0.005, 0.0), Point(-0.02, 0.01)
+        np.testing.assert_allclose(
+            pathloss_difference(xs, ys, own, victim, params, pc),
+            [pathloss_difference(x, y, own, victim, params, pc) for x, y in zip(xs, ys)],
+            rtol=1e-15)
+
+
+def interference(pc, params, d_bb, d_b1, s_bb, s_b1, h_b1):
+    """interference_db for a UE at distance d_bb from its BS and d_b1 from the victim."""
+    return interference_db(pc, params, UE.x, UE.y, at(d_bb), at(d_b1, 2.0), s_bb, s_b1, h_b1)
 
 
 class TestTxPower:
@@ -42,7 +78,7 @@ class TestTxPower:
     @staticmethod
     def tx_power(pc, params, l_bb, s_bb):
         d_bb = 10 ** ((l_bb - params.a_db) / params.alpha)
-        return interference_db(pc, params, d_bb, 1.0, s_bb, 0.0, 1.0) + params.a_db
+        return interference(pc, params, d_bb, 1.0, s_bb, 0.0, 1.0) + params.a_db
 
     def test_fpc(self, params, pc):
         assert self.tx_power(pc, params, 80.0, 0.0) == pytest.approx(-12.0)
@@ -58,42 +94,51 @@ class TestTxPower:
 class TestInterferenceDb:
     def test_full_compensation_gives_p0(self, params):
         pc = PowerControl(-76.0, 1.0)
-        v = interference_db(pc, params, d_bb=0.02, d_b1=0.02, s_bb=0.0, s_b1=0.0, h_b1=1.0)
+        v = interference(pc, params, d_bb=0.02, d_b1=0.02, s_bb=0.0, s_b1=0.0, h_b1=1.0)
         assert v == pytest.approx(-76.0)
 
     def test_partial_compensation(self, params, pc):
-        v = interference_db(pc, params, d_bb=0.01, d_b1=0.015, s_bb=0.0, s_b1=0.0, h_b1=1.0)
+        v = interference(pc, params, d_bb=0.01, d_b1=0.015, s_bb=0.0, s_b1=0.0, h_b1=1.0)
         expected = -76.0 + (0.8 * path_loss(params, 0.01) - path_loss(params, 0.015))
         assert v == pytest.approx(expected)
         assert v == pytest.approx(-92.08, abs=0.005)
 
     def test_fading_adds_in_db(self, params, pc):
         kw = dict(d_bb=0.01, d_b1=0.02, s_bb=1.0, s_b1=-2.0)
-        assert interference_db(pc, params, h_b1=10.0, **kw) == pytest.approx(
-            interference_db(pc, params, h_b1=1.0, **kw) + 10.0
+        assert interference(pc, params, h_b1=10.0, **kw) == pytest.approx(
+            interference(pc, params, h_b1=1.0, **kw) + 10.0
         )
 
     def test_unit_fading_identity(self, params, pc):
         # Eq-level identity: I(h=1) = tx power - path loss to victim - victim shadowing
-        v = interference_db(pc, params, d_bb=0.012, d_b1=0.03, s_bb=3.0, s_b1=-1.5, h_b1=1.0)
+        v = interference(pc, params, d_bb=0.012, d_b1=0.03, s_bb=3.0, s_b1=-1.5, h_b1=1.0)
         tx = pc.p0_dbm + pc.eta * (path_loss(params, 0.012) + 3.0)
         expected = tx - path_loss(params, 0.03) + 1.5
         assert v == pytest.approx(expected, abs=1e-12)
+
+    def test_is_p0_plus_kernel(self, params, pc):
+        xs, ys = np.array([0.001, -0.004]), np.array([0.002, 0.003])
+        own, victim = Point(0.005, 0.0), Point(-0.02, 0.01)
+        s_own, s_vic, h = np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([0.3, 2.0])
+        np.testing.assert_array_equal(
+            interference_db(pc, params, xs, ys, own, victim, s_own, s_vic, h),
+            pc.p0_dbm + pathloss_difference(xs, ys, own, victim, params, pc)
+            + (pc.eta * s_own - s_vic) + 10.0 * np.log10(h))
 
     @given(st.floats(0.005, 0.1), st.floats(0.005, 0.1))
     def test_monotone_decreasing_in_victim_distance(self, a, b):
         params = ChannelParams(103.8, 20.9, 100.0)
         pc = PowerControl(-76.0, 0.8)
         lo, hi = sorted((a, b))
-        near = interference_db(pc, params, 0.01, lo, 0.0, 0.0, 1.0)
-        far = interference_db(pc, params, 0.01, hi, 0.0, 0.0, 1.0)
+        near = interference(pc, params, 0.01, lo, 0.0, 0.0, 1.0)
+        far = interference(pc, params, 0.01, hi, 0.0, 0.0, 1.0)
         assert near >= far
 
     def test_errors(self, params, pc):
-        with pytest.raises(NonpositiveDistanceError):
-            interference_db(pc, params, 0.0, 0.01, 0.0, 0.0, 1.0)
+        with pytest.raises(DegenerateGeometryError):
+            interference_db(pc, params, UE.x, UE.y, UE, at(0.01), 0.0, 0.0, 1.0)
         with pytest.raises(NonpositiveFadingError):
-            interference_db(pc, params, 0.01, 0.01, 0.0, 0.0, 0.0)
+            interference(pc, params, 0.01, 0.01, 0.0, 0.0, 0.0)
 
 
 class TestCombinedShadowStats:

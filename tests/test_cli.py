@@ -6,7 +6,18 @@ import pytest
 
 from ulik.cli import main
 from ulik.distribution import EmpiricalDistribution
-from ulik.scenario_io import HotspotDropSpec, gen_hotspot, gen_single_interferer, save_scenario
+from ulik.geometry import Difference, Disk, Point
+from ulik.scenario_io import (
+    DEFAULT_CHANNEL,
+    DEFAULT_POWER,
+    Cell,
+    HotspotDropSpec,
+    NetworkScenario,
+    gen_hotspot,
+    gen_single_interferer,
+    load_scenario,
+    save_scenario,
+)
 from ulik.simulator import write_samples
 
 
@@ -110,8 +121,25 @@ class TestAnalyze:
         assert run("analyze", path, "--samples", 20_000, "--seed", 0, "--s1", 1e4,
                    "--s2", 1e3, "--out", tmp_path / "ana") == 0
         assert "converged=false" in capsys.readouterr().out.splitlines()
+        # Newton stalls here; the stall stop ends it long before 60 iterations.
+        assert int(read_rows(tmp_path / "ana" / "fit.csv")[0]["iterations"]) <= 10
         # The solver's last iterate matches no MGF, so it gets no CDF.
         assert not (tmp_path / "ana" / "analytic_cdf.csv").exists()
+
+    def test_too_thin_region_names_cell(self, tmp_path, capsys):
+        # A 1 um wide annulus: one validation point is found, but the sampler
+        # gives up on 2000 of them at an acceptance rate below 1e-4.
+        ring_center = Point(0.05, 0.0)
+        ring = Difference(Disk(ring_center, 0.02), Disk(ring_center, 0.02 - 1e-6))
+        sc = NetworkScenario(
+            cells=(Cell("v", Point(0.0, 0.0), Disk(Point(0.004, 0.0), 0.002)),
+                   Cell("ring", ring_center, ring)),
+            victim_cell_id="v", channel=DEFAULT_CHANNEL, power=DEFAULT_POWER)
+        path = tmp_path / "thin.json"
+        save_scenario(sc, path)
+        load_scenario(path)
+        assert run("analyze", path, "--samples", 2000, "--out", tmp_path / "ana") == 2
+        assert capsys.readouterr().err.startswith("ulik: error: cell 'ring': acceptance rate")
 
     def test_tau_failures_do_not_fail_run(self, tmp_path, b2_scenario):
         out = tmp_path / "strict"
@@ -140,8 +168,10 @@ class TestSimulate:
         cell = read_samples(cell_file)
         assert sorted(cell.samples) == pytest.approx(list(agg.samples), abs=1e-12)
 
-    def test_zero_samples_rejected(self, tmp_path, b2_scenario):
-        assert run("simulate", b2_scenario, "--samples", 0, "--out", tmp_path / "x") != 0
+    def test_zero_samples_rejected(self, tmp_path, b2_scenario, capsys):
+        assert run("simulate", b2_scenario, "--samples", 0, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith("ulik: error: ")
+        assert not (tmp_path / "x").exists()
 
 
 class TestCompare:

@@ -124,6 +124,18 @@ class TestSampling:
         with pytest.raises(EmptyRegionError):
             sample_uniform_xy(covered, rng(0), 10)
 
+    def test_empty_region_fails_in_few_batches(self):
+        class Counting(Difference):
+            calls = 0
+
+            def mask(self, xs, ys):
+                Counting.calls += 1
+                return super().mask(xs, ys)
+
+        with pytest.raises(EmptyRegionError):
+            sample_uniform_xy(Counting(UNIT_DISK, UNIT_DISK), rng(0), 1)
+        assert Counting.calls <= 200
+
     def test_deterministic_for_seed(self):
         a = sample_uniform_xy(UNIT_DISK, rng(42), 1000)
         b = sample_uniform_xy(UNIT_DISK, rng(42), 1000)

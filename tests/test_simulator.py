@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ulik import simulator
 from ulik.channel import ChannelParams, PowerControl, interference_db
-from ulik.errors import ValidationError
-from ulik.geometry import Disk, Point
+from ulik.errors import EmptyRegionError, ValidationError
+from ulik.geometry import Difference, Disk, Point
 from ulik.scenario_io import Cell, NetworkScenario
 from ulik.simulator import (
     SimConfig,
@@ -32,20 +33,27 @@ def two_cell_scenario(sigma_shad_sq=100.0, region_radius=1e-6):
     )
 
 
+@pytest.fixture
+def unit_fading(monkeypatch):
+    """Every fading gain is 1."""
+    monkeypatch.setattr(simulator, "_exponential", lambda rng, n: np.ones(n))
+
+
 class TestSimulate:
-    def test_deterministic_scenario_reproduces_channel_formula(self):
+    def test_deterministic_scenario_reproduces_channel_formula(self, unit_fading):
         sc = two_cell_scenario(sigma_shad_sq=0.0, region_radius=1e-9)
-        res = simulate(sc, SimConfig(n_samples=500, seed=1, unit_fading=True))
+        res = simulate(sc, SimConfig(n_samples=500, seed=1))
         ue, bs = Point(0.025, 0.004), Point(0.03, 0.0)
+        ch, pc = sc.channel, sc.power
         d_bb = math.hypot(ue.x - bs.x, ue.y - bs.y)
         d_b1 = math.hypot(ue.x, ue.y)
-        expected = interference_db(sc.power, sc.channel, d_bb, d_b1, 0.0, 0.0, 1.0)
+        expected = pc.p0_dbm + pc.eta * (ch.a_db + ch.alpha * math.log10(d_bb)) - (
+            ch.a_db + ch.alpha * math.log10(d_b1))
         np.testing.assert_allclose(res.aggregate_dbm.samples, expected, atol=1e-4)
 
-    def test_per_cell_variance_matches_combined_shadowing(self):
+    def test_per_cell_variance_matches_combined_shadowing(self, unit_fading):
         sc = two_cell_scenario()
-        res = simulate(sc, SimConfig(n_samples=200_000, seed=3, record_per_cell=True,
-                                     unit_fading=True))
+        res = simulate(sc, SimConfig(n_samples=200_000, seed=3, record_per_cell=True))
         (samples,) = [d.samples for d in res.per_cell_db.values()]
         var = samples.var(ddof=1)
         se = var * math.sqrt(2.0 / (len(samples) - 1))
@@ -86,6 +94,14 @@ class TestSimulate:
         b = simulate(sc, SimConfig(n_samples=4000, seed=11, threads=3))
         np.testing.assert_array_equal(a.aggregate_dbm.samples, b.aggregate_dbm.samples)
 
+    def test_empty_region_error_names_cell(self):
+        sc = two_cell_scenario()
+        disk = Disk(Point(0.025, 0.0), 0.005)
+        empty = Cell("hollow", Point(0.03, 0.0), Difference(disk, disk))
+        sc = NetworkScenario((sc.cells[0], empty), "c1", sc.channel, sc.power)
+        with pytest.raises(EmptyRegionError, match="^cell 'hollow': "):
+            simulate(sc, SimConfig(n_samples=10, seed=1))
+
     def test_sample_count_validated(self):
         with pytest.raises(ValidationError):
             SimConfig(n_samples=0)
@@ -123,7 +139,9 @@ class TestExponentialFading:
     def test_zero_draw_gives_positive_gain(self, params, pc):
         h = _exponential(FixedDraws(np.zeros(3)), 3)
         assert (h > 0).all()
-        assert np.isfinite(interference_db(pc, params, 0.01, 0.02, 0.0, 0.0, h)).all()
+        v = interference_db(pc, params, 0.0, 0.0, Point(0.01, 0.0), Point(0.0, 0.02),
+                            0.0, 0.0, h)
+        assert np.isfinite(v).all()
 
     def test_nonzero_draws_unchanged(self):
         u = np.array([2.0**-53, 1e-9, 0.5, 1.0 - 2.0**-53])
