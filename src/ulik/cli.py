@@ -43,21 +43,21 @@ def _emit(key, value):
 
 def cmd_analyze(args) -> int:
     scenario = scenario_io.load_scenario(args.scenario, lenient=args.lenient)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
-    result = pipeline.analyze(scenario, args.samples, args.seed, m0=args.m0,
-                              s1=args.s1, s2=args.s2, tau_threshold=args.tau_threshold)
+    result = pipeline.analyze(scenario, args.samples, m0=args.m0, s1=args.s1, s2=args.s2,
+                              tau_threshold=args.tau_threshold)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows = [[c.cell_id, c.moments.mu_l, c.moments.var_l, c.moments.abs3_l,
              c.certificate.tau, c.certificate.passes, c.component.mean, c.component.variance,
-             *c.moments.std_errors]
+             *c.moments.std_errors, c.moments.sample_count]
             for c in result.cells]
     fit = result.fit
 
     _write_csv(out / "report.csv",
                ["cell_id", "mu_l", "var_l", "abs3_l", "tau", "passes",
-                "mu_qb", "var_qb", "se_mu_l", "se_var_l", "se_abs3_l"],
+                "mu_qb", "var_qb", "se_mu_l", "se_var_l", "se_abs3_l", "nodes"],
                rows)
     scenario_id = scenario.metadata.get("generator", Path(str(args.scenario)).stem)
     _write_csv(out / "fit.csv",
@@ -203,13 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the approximation chain")
     p.add_argument("scenario")
     p.add_argument("--samples", type=int, default=1_000_000,
-                   help="integration points per cell")
+                   help="accuracy target: each moment's quadrature error estimate stays "
+                        "below the standard error of this many uniform points")
     p.add_argument("--m0", type=int, default=12, help="Gauss-Hermite order")
     p.add_argument("--s1", type=float, default=1.0)
     p.add_argument("--s2", type=float, default=0.1)
     p.add_argument("--tau-threshold", type=float,
                    default=gaussian_approx.DEFAULT_TAU_THRESHOLD)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for scripts; has no effect, the analysis draws nothing")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)

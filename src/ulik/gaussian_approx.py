@@ -23,6 +23,12 @@ SURROGATE_MIN_VARIANCE = 36.0
 
 DEFAULT_TAU_THRESHOLD = 0.01
 
+# Region-moment quadrature: the first rule, and how often both of its node
+# counts may double to meet the accuracy a sample count asks for.
+THETA_PANELS = 64
+RADIAL_NODES = 8
+MAX_REFINEMENTS = 4
+
 
 class SurrogateAccuracyWarning(UserWarning):
     """Combined shadowing variance too small for the rated surrogate accuracy."""
@@ -65,7 +71,8 @@ class RegionMoments:
     def __post_init__(self):
         if self.var_l < 0 or self.abs3_l < 0:
             raise ValidationError("moments must be nonnegative")
-        # Lyapunov: E|X|^3 >= (E X^2)^(3/2); holds exactly for sample moments.
+        # Lyapunov: E|X|^3 >= (E X^2)^(3/2); holds for the moments of any
+        # positive weights, so for sample and quadrature moments alike.
         if self.abs3_l < self.var_l**1.5 * (1 - 1e-9):
             raise ValidationError(
                 f"third absolute moment {self.abs3_l} violates the Lyapunov "
@@ -110,6 +117,21 @@ def pathloss_difference(xs, ys, own_bs, victim_bs, params, pc):
     )
 
 
+def _moments_on(region, own_bs, victim_bs, params, pc, panels, radial):
+    """(mu, var, abs3) of L on one quadrature rule, the spread (standard
+    deviation) of L, (L-mu)^2 and |L-mu|^3 under it, and its node count."""
+    xs, ys, ws = geometry.quadrature_nodes(region, own_bs, panels, radial)
+    p = ws / ws.sum()
+    lvals = pathloss_difference(xs, ys, own_bs, victim_bs, params, pc)
+    mu = float(p @ lvals)
+    c = lvals - mu
+    c2 = c * c
+    a3 = c2 * np.abs(c)
+    moments = np.array([mu, p @ c2, p @ a3])
+    spread = np.sqrt([moments[1], p @ (c2 - moments[1]) ** 2, p @ (a3 - moments[2]) ** 2])
+    return moments, spread, len(ws)
+
+
 def region_moments(
     region: geometry.Region,
     own_bs: geometry.Point,
@@ -117,29 +139,32 @@ def region_moments(
     params,
     pc,
     n: int,
-    rng: np.random.Generator,
 ) -> RegionMoments:
-    """Monte Carlo mean / variance / third absolute central moment of the
-    pathloss-difference variable over a uniform UE position in the region.
+    """Mean / variance / third absolute central moment of the pathloss-
+    difference variable over a uniform UE position in the region, by
+    ray-cast quadrature in polar coordinates around the own BS.
 
-    Central moments are taken against the estimated mean, over the same
-    sample set (two passes).
+    The rule of THETA_PANELS angle panels and RADIAL_NODES nodes per segment
+    is compared with the rule of twice as many of each; the finer result is
+    reported, and the difference is each moment's error estimate.  ``n``
+    sets the accuracy: both counts keep doubling, at most MAX_REFINEMENTS
+    times, until every error estimate is below the standard error that n
+    uniform points would give.
     """
-    xs, ys = geometry.sample_uniform_xy(region, rng, n)
-    lvals = pathloss_difference(xs, ys, own_bs, victim_bs, params, pc)
-    mu = float(lvals.mean())
-    centered = lvals - mu
-    sq = centered**2
-    cu = np.abs(centered) ** 3
-    var = float(sq.mean())
-    abs3 = float(cu.mean())
-    rt = math.sqrt(n)
-    errs = (
-        float(lvals.std() / rt),
-        float(sq.std() / rt),
-        float(cu.std() / rt),
-    )
-    return RegionMoments(mu_l=mu, var_l=var, abs3_l=abs3, std_errors=errs, sample_count=n)
+    if n < 1:
+        raise ValidationError(f"sample count must be positive, got {n}")
+    panels, radial = THETA_PANELS, RADIAL_NODES
+    coarse, _, _ = _moments_on(region, own_bs, victim_bs, params, pc, panels, radial)
+    for _ in range(MAX_REFINEMENTS):
+        panels, radial = 2 * panels, 2 * radial
+        fine, spread, count = _moments_on(region, own_bs, victim_bs, params, pc, panels, radial)
+        errs = np.abs(fine - coarse)
+        if np.all(errs <= spread / math.sqrt(n)):
+            break
+        coarse = fine
+    mu, var, abs3 = map(float, fine)
+    return RegionMoments(mu_l=mu, var_l=var, abs3_l=abs3,
+                         std_errors=tuple(map(float, errs)), sample_count=count)
 
 
 def tau(

@@ -1,10 +1,11 @@
-"""Planar UE-distribution regions: CSG trees, membership tests and uniform
-sampling.
+"""Planar UE-distribution regions: CSG trees, membership tests, ray casting
+for region integrals, and uniform sampling.
 
 All coordinates are in km.  Regions are immutable and safe to share across
 threads; randomness always comes from a caller-provided numpy Generator.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,15 @@ MAX_REJECTION_TRIALS = 10_000_000
 ACCEPTANCE_FLOOR = 1e-4
 
 _BATCH = 1 << 16
+
+# Ray-cast quadrature: the angle rule around the origin is composite
+# Gauss-Legendre with this many nodes per panel.
+THETA_NODES = 4
+# A polygon edge keeps a ray crossing this far past its ends, so a ray through
+# a vertex is not lost to rounding (a spurious crossing only splits a segment).
+_EDGE_SLACK = 1e-9
+_SPAN_PAD = 1e-9  # radians
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -34,11 +44,25 @@ class Region:
     """Base class for region tree nodes.
 
     Subclasses implement ``mask`` (vectorized membership, boundary counts as
-    inside) and ``bounding_box``.  Half-planes have an unbounded box and are
-    only samplable inside an Intersection that bounds them.
+    inside), ``crossings`` and ``bounding_box``.  Half-planes have an
+    unbounded box and are only samplable inside an Intersection that bounds
+    them.
     """
 
     def mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def crossings(self, ox: float, oy: float, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Distances r at which the rays (ox, oy) + r*(c, s) meet the boundary
+        of any leaf of the tree, one row per ray; NaN fills missing roots."""
+        raise NotImplementedError
+
+    def break_angles(self, ox: float, oy: float) -> list[tuple[float, bool]]:
+        """(angle, tangent) pairs: the ray angles around (ox, oy) at which a
+        leaf's boundary makes the inside length of a ray non-smooth.  These
+        are tangent rays of disks and ellipses (tangent=True, a square-root
+        behaviour), polygon vertices and a line through the origin.  The
+        angle rule puts panel edges there."""
         raise NotImplementedError
 
     def bounding_box(self) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -61,6 +85,17 @@ class Disk(Region):
     def mask(self, xs, ys):
         return (xs - self.center.x) ** 2 + (ys - self.center.y) ** 2 <= self.radius**2
 
+    def crossings(self, ox, oy, c, s):
+        return _circle_roots(ox - self.center.x, oy - self.center.y, c, s, self.radius)
+
+    def break_angles(self, ox, oy):
+        dx, dy = self.center.x - ox, self.center.y - oy
+        d = math.hypot(dx, dy)
+        if d <= self.radius:
+            return []
+        phi, half = math.atan2(dy, dx), math.asin(self.radius / d)
+        return [(phi - half, True), (phi + half, True)]
+
     def bounding_box(self):
         c, r = self.center, self.radius
         return (c.x - r, c.y - r), (c.x + r, c.y + r)
@@ -80,13 +115,35 @@ class Ellipse(Region):
                 f"({self.semi_major}, {self.semi_minor})"
             )
 
-    def mask(self, xs, ys):
+    def _scaled(self, dx, dy):
+        """A vector in the frame of the axes, scaled so the ellipse is the
+        unit circle."""
         c, s = math.cos(self.rotation), math.sin(self.rotation)
-        dx = xs - self.center.x
-        dy = ys - self.center.y
-        u = c * dx + s * dy
-        v = -s * dx + c * dy
-        return (u / self.semi_major) ** 2 + (v / self.semi_minor) ** 2 <= 1.0
+        return (c * dx + s * dy) / self.semi_major, (-s * dx + c * dy) / self.semi_minor
+
+    def mask(self, xs, ys):
+        u, v = self._scaled(xs - self.center.x, ys - self.center.y)
+        return u**2 + v**2 <= 1.0
+
+    def crossings(self, ox, oy, c, s):
+        return _circle_roots(*self._scaled(ox - self.center.x, oy - self.center.y),
+                             *self._scaled(c, s), 1.0)
+
+    def break_angles(self, ox, oy):
+        dx, dy = ox - self.center.x, oy - self.center.y
+        px, py = self._scaled(dx, dy)
+        p2 = px * px + py * py
+        if p2 <= 1.0:
+            return []
+        cr, sr = math.cos(self.rotation), math.sin(self.rotation)
+        out = []
+        # Tangent points of the unit circle seen from p, mapped back.
+        for sign in (-1.0, 1.0):
+            h = sign * math.sqrt(p2 - 1.0)
+            tx = self.semi_major * (px - h * py) / p2
+            ty = self.semi_minor * (py + h * px) / p2
+            out.append((math.atan2(sr * tx + cr * ty - dy, cr * tx - sr * ty - dx), True))
+        return out
 
     def bounding_box(self):
         c, s = math.cos(self.rotation), math.sin(self.rotation)
@@ -96,6 +153,18 @@ class Ellipse(Region):
             (self.center.x - ex, self.center.y - ey),
             (self.center.x + ex, self.center.y + ey),
         )
+
+
+def _circle_roots(px, py, ux, uy, rho):
+    """Both r with |p + r*u| = rho as an (n, 2) array, NaN where there are
+    none.  The discriminant is formed from the cross product p x u, which
+    keeps a circle that is small beside |p| resolved."""
+    a = ux * ux + uy * uy
+    cross = px * uy - py * ux
+    with np.errstate(invalid="ignore"):
+        h = np.sqrt(a * rho * rho - cross * cross)
+    b = px * ux + py * uy
+    return (h[:, None] * _SIGNS - b[:, None]) / a[:, None]
 
 
 def _segments_intersect(p1, p2, p3, p4):
@@ -158,6 +227,21 @@ class Polygon(Region):
             j = i
         return inside
 
+    def crossings(self, ox, oy, c, s):
+        # o + r*u = v_i + t*e_i, solved with 2-D cross products.
+        vx, vy = self._arrays()
+        ex, ey = np.roll(vx, -1) - vx, np.roll(vy, -1) - vy
+        wx, wy = vx - ox, vy - oy
+        c, s = c[:, None], s[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = c * ey - s * ex
+            r = (wx * ey - wy * ex) / den
+            t = (wx * s - wy * c) / den
+        return np.where((t >= -_EDGE_SLACK) & (t <= 1.0 + _EDGE_SLACK), r, np.nan)
+
+    def break_angles(self, ox, oy):
+        return [(math.atan2(p.y - oy, p.x - ox), False) for p in self.vertices]
+
     def bounding_box(self):
         vx, vy = self._arrays()
         return (float(vx.min()), float(vy.min())), (float(vx.max()), float(vy.max()))
@@ -178,13 +262,38 @@ class HalfPlane(Region):
     def mask(self, xs, ys):
         return (xs - self.point.x) * self.normal.x + (ys - self.point.y) * self.normal.y >= 0
 
+    def _gap(self, ox, oy):
+        """Signed distance from (ox, oy) to the line, along the normal."""
+        return (self.point.x - ox) * self.normal.x + (self.point.y - oy) * self.normal.y
+
+    def crossings(self, ox, oy, c, s):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self._gap(ox, oy) / (c * self.normal.x + s * self.normal.y))[:, None]
+
+    def break_angles(self, ox, oy):
+        # Only a line through the origin is seen edge-on.
+        if abs(self._gap(ox, oy)) > 1e-9 * math.hypot(self.point.x - ox, self.point.y - oy):
+            return []
+        phi = math.atan2(self.normal.x, -self.normal.y)
+        return [(phi, False), (phi + math.pi, False)]
+
     def bounding_box(self):
         inf = math.inf
         return (-inf, -inf), (inf, inf)
 
 
+class _Combination(Region):
+    """A set operation over ``children``: its boundary is theirs."""
+
+    def crossings(self, ox, oy, c, s):
+        return np.concatenate([ch.crossings(ox, oy, c, s) for ch in self.children], axis=1)
+
+    def break_angles(self, ox, oy):
+        return [a for ch in self.children for a in ch.break_angles(ox, oy)]
+
+
 @dataclass(frozen=True)
-class Intersection(Region):
+class Intersection(_Combination):
     children: tuple[Region, ...]
 
     def __post_init__(self):
@@ -208,7 +317,7 @@ class Intersection(Region):
 
 
 @dataclass(frozen=True)
-class Union(Region):
+class Union(_Combination):
     children: tuple[Region, ...]
 
     def __post_init__(self):
@@ -230,15 +339,137 @@ class Union(Region):
 
 
 @dataclass(frozen=True)
-class Difference(Region):
+class Difference(_Combination):
     left: Region
     right: Region
+
+    @property
+    def children(self):
+        return self.left, self.right
 
     def mask(self, xs, ys):
         return self.left.mask(xs, ys) & ~self.right.mask(xs, ys)
 
     def bounding_box(self):
         return self.left.bounding_box()
+
+
+def _finite_box(region: Region):
+    (x0, y0), (x1, y1) = box = region.bounding_box()
+    if not all(map(math.isfinite, (x0, y0, x1, y1))):
+        raise ValidationError("region has an unbounded bounding box")
+    if x1 < x0 or y1 < y0:
+        raise EmptyRegionError("region bounding box is empty")
+    return box
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+@functools.lru_cache(maxsize=None)
+def _panel_maps(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node positions and weights on [0, 1] of the four panel maps of the
+    angle rule, indexed by (break at the start) + 2 * (break at the end):
+    t, t^2, 1 - (1-t)^2 and the smoothstep 3t^2 - 2t^3."""
+    t, w = _gauss_legendre(order)
+    u = 1.0 - t
+    g = np.array([t, t * t, 1.0 - u * u, t * t * (3.0 - 2.0 * t)])
+    dg = np.array([np.ones_like(t), 2.0 * t, 2.0 * u, 6.0 * t * u])
+    return g, w * dg
+
+
+def _angle_rule(breaks, panels: int, span=None):
+    """Composite Gauss-Legendre nodes and weights in the ray angle, with
+    about ``panels`` panels whose edges include every break angle.
+
+    ``span`` is (lo, hi), or None for the full circle, which then starts at
+    a break.  A panel [a, a+h] that starts at a tangent break is mapped by
+    theta = a + h*t^2 (mirrored when it ends at one, a smoothstep when both),
+    which makes the square-root behaviour there smooth.
+    """
+    angle = np.array([b[0] for b in breaks], dtype=float)
+    tangent = np.array([b[1] for b in breaks], dtype=bool)
+    lo, hi = span if span else (angle.min() if len(angle) else 0.0, math.inf)
+    hi = min(hi, lo + 2.0 * math.pi)
+    angle = lo + (angle - lo) % (2.0 * math.pi)
+    keep = angle < hi
+    cuts, at = np.unique(np.concatenate(([lo], angle[keep], [hi])), return_inverse=True)
+    smooth = np.zeros(len(cuts), dtype=bool)
+    smooth[at[1:-1][tangent[keep]]] = True
+    if not span:
+        smooth[-1] = smooth[0]
+    widths = np.diff(cuts)
+    counts = np.maximum(1, np.rint(panels * widths / (hi - lo))).astype(int)
+    interval = np.repeat(np.arange(len(counts)), counts)
+    i = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    h = (widths / counts)[interval][:, None]
+    start = cuts[interval][:, None] + i[:, None] * h
+    kind = (i == 0) & smooth[interval]
+    kind = kind + 2 * ((i == counts[interval] - 1) & smooth[interval + 1])
+    g, wg = _panel_maps(THETA_NODES)
+    return (start + h * g[kind]).ravel(), (h * wg[kind]).ravel()
+
+
+def ray_segments(region: Region, origin: Point, panels: int):
+    """The parts inside the region of the rays of an angle rule around origin.
+
+    The rule is composite Gauss-Legendre with about ``panels`` panels of
+    THETA_NODES nodes, over the full circle, or over the angles the bounding
+    box spans when the origin lies outside it, with panel edges at the
+    region's break angles (see ``_angle_rule``).  Each ray is cut at every
+    leaf crossing and at the farthest box corner; a piece is inside when the
+    region's mask holds at its midpoint.  Returns (c, s, w, r0, r1), one
+    entry per inside piece: the ray direction (c, s), its angle weight w and
+    the piece's radii r0 < r1.  Raises EmptyRegionError when no ray meets
+    the region.
+    """
+    (x0, y0), (x1, y1) = _finite_box(region)
+    ox, oy = origin.x, origin.y
+    cx, cy = np.array([x0, x1, x1, x0]) - ox, np.array([y0, y0, y1, y1]) - oy
+    r_max = float(np.hypot(cx, cy).max())
+    span = None
+    if not (x0 <= ox <= x1 and y0 <= oy <= y1):
+        phi = np.arctan2(cy, cx)
+        turn = (phi - phi[0] + math.pi) % (2.0 * math.pi) - math.pi
+        # Padded, so a tangent ray along the box's edge stays a break.
+        span = phi[0] + turn.min() - _SPAN_PAD, phi[0] + turn.max() + _SPAN_PAD
+    theta, w = _angle_rule(region.break_angles(ox, oy), panels, span)
+    c, s = np.cos(theta), np.sin(theta)
+    cuts = region.crossings(ox, oy, c, s)
+    cuts = np.where((cuts > 0) & (cuts < r_max), cuts, r_max)
+    ends = np.sort(np.concatenate((np.zeros((len(c), 1)), cuts, np.full((len(c), 1), r_max)),
+                                  axis=1), axis=1)
+    r0, r1 = ends[:, :-1], ends[:, 1:]
+    mid = 0.5 * (r0 + r1)
+    inside = (r1 > r0) & region.mask(ox + mid * c[:, None], oy + mid * s[:, None])
+    if not inside.any():
+        raise EmptyRegionError(f"no ray of {len(c)} from ({ox}, {oy}) meets the region")
+    ray = np.nonzero(inside)[0]
+    return c[ray], s[ray], w[ray], r0[inside], r1[inside]
+
+
+def quadrature_nodes(region: Region, origin: Point, panels: int, radial: int):
+    """Nodes and weights (xs, ys, ws) with sum(ws * f(xs, ys)) approximating
+    the integral of f over the region, in polar coordinates around origin.
+
+    The rays are those of ``ray_segments``; each inside piece gets a
+    ``radial``-node Gauss-Legendre rule in r, with weight r dr.  A piece that
+    starts at the origin is mapped by r = r1*u^3, which smooths a log(r)
+    singularity there.  Every weight is positive.
+    """
+    c, s, w, r0, r1 = ray_segments(region, origin, panels)
+    u, wu = _gauss_legendre(radial)
+    at_origin = (r0 == 0.0)[:, None]
+    g = np.where(at_origin, u**3, u)
+    dg = np.where(at_origin, 3.0 * u * u, 1.0)
+    span = (r1 - r0)[:, None]
+    r = r0[:, None] + span * g
+    ws = (w[:, None] * span) * (wu * dg) * r
+    return (origin.x + r * c[:, None]).ravel(), (origin.y + r * s[:, None]).ravel(), ws.ravel()
 
 
 def sample_uniform_xy(
@@ -250,11 +481,7 @@ def sample_uniform_xy(
     generator state.  Raises EmptyRegionError when the acceptance rate stays
     below ACCEPTANCE_FLOOR after MAX_REJECTION_TRIALS box draws.
     """
-    (x0, y0), (x1, y1) = region.bounding_box()
-    if not all(map(math.isfinite, (x0, y0, x1, y1))):
-        raise ValidationError("region has an unbounded bounding box; cannot sample")
-    if x1 < x0 or y1 < y0:
-        raise EmptyRegionError("region bounding box is empty")
+    (x0, y0), (x1, y1) = _finite_box(region)
     if n <= 0:
         raise ValidationError(f"sample count must be positive, got {n}")
     xs_out = np.empty(n)

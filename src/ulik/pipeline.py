@@ -7,7 +7,6 @@ from . import channel, gaussian_approx, lognormal_sum
 from .errors import EmptyRegionError
 from .gaussian_approx import GaussianApprox, RegionMoments, TauCertificate
 from .lognormal_sum import LognormalFit
-from .streams import substream
 
 
 @dataclass(frozen=True)
@@ -24,14 +23,14 @@ class Analysis:
     fit: LognormalFit
 
 
-def analyze(scenario, samples: int, seed: int, *, m0: int = 12, s1: float = 1.0,
-            s2: float = 0.1,
+def analyze(scenario, samples: int, *, m0: int = 12, s1: float = 1.0, s2: float = 0.1,
             tau_threshold: float = gaussian_approx.DEFAULT_TAU_THRESHOLD) -> Analysis:
     """Run the chain on every interfering cell of the scenario.
 
-    The i-th interfering cell draws from ``substream(seed, i)``, and the fit
-    takes the cell-edge receive target P0 as its reference level.  Library
-    calls go through module attributes, so a wrapper installed on
+    The chain draws nothing at random: ``samples`` is the accuracy target of
+    the region-moment quadrature (see ``gaussian_approx.region_moments``).
+    The fit takes the cell-edge receive target P0 as its reference level.
+    Library calls go through module attributes, so a wrapper installed on
     ``gaussian_approx.region_moments`` or ``lognormal_sum.fit_sum`` sees them.
     """
     g = gaussian_approx.lognormal_exp_gaussian(
@@ -39,11 +38,11 @@ def analyze(scenario, samples: int, seed: int, *, m0: int = 12, s1: float = 1.0,
     rule = lognormal_sum.gh_rule(m0)
     p0 = scenario.power.p0_dbm
     cells = []
-    for idx, cell in enumerate(scenario.interfering_cells()):
+    for cell in scenario.interfering_cells():
         try:
             moments = gaussian_approx.region_moments(
                 scenario.ue_region(cell.id), cell.bs, scenario.victim_cell().bs,
-                scenario.channel, scenario.power, samples, substream(seed, idx))
+                scenario.channel, scenario.power, samples)
         except EmptyRegionError as exc:
             raise EmptyRegionError(f"cell {cell.id!r}: {exc}") from exc
         cells.append(CellAnalysis(cell.id, moments,

@@ -21,11 +21,13 @@ from .geometry import (
     Polygon,
     Region,
     Union,
-    sample_uniform_xy,
+    ray_segments,
 )
 from .streams import substream
 
 FORMAT_VERSION = 1
+# Angle panels of the rays that check each UE area for emptiness at load.
+_VALIDATION_PANELS = 16
 DEFAULT_MIN_BS_UE_DISTANCE = 0.005  # km
 _TYPE = "type"  # the key that tags a region node
 
@@ -79,7 +81,7 @@ def _validate(scenario: NetworkScenario) -> NetworkScenario:
         raise ValidationError("min BS-to-UE distance must be positive")
     for c in scenario.cells:
         try:
-            sample_uniform_xy(scenario.ue_region(c.id), substream(0), 1)
+            ray_segments(scenario.ue_region(c.id), c.bs, _VALIDATION_PANELS)
         except UlikError as exc:
             raise ValidationError(
                 f"cell {c.id!r}: region is empty after the UE exclusion disk ({exc})"

@@ -45,7 +45,7 @@ def b2_analysis():
     out = {}
     for r in RADII:
         sc = gen_single_interferer(r)
-        (cell,) = analyze(sc, 1_000_000, 1).cells
+        (cell,) = analyze(sc, 1_000_000).cells
         out[r] = {
             "scenario": sc,
             "moments": cell.moments,
@@ -59,7 +59,7 @@ def b2_analysis():
 def hotspot():
     """Full B=84 pipeline: drop, per-cell analysis, aggregate fit, simulation."""
     sc = gen_hotspot(HotspotDropSpec(seed=HOTSPOT_SEED))
-    result = analyze(sc, 1_000_000, 7, tau_threshold=0.02)
+    result = analyze(sc, 1_000_000, tau_threshold=0.02)
     taus = [c.certificate.tau for c in result.cells]
     comps = [c.component for c in result.cells]
     sim = simulate(sc, SimConfig(n_samples=1_000_000, seed=99, threads=4))
@@ -189,7 +189,7 @@ def test_criterion_6_moments_oracle_equivalence(params, pc):
     ]
     worst = 0.0
     for i, region in enumerate(regions):
-        m = region_moments(region, own, victim, params, pc, 1_000_000, substream(11, i))
+        m = region_moments(region, own, victim, params, pc, 1_000_000)
         (bm, bv, b3), (se_m, se_v, se_3) = brute_force_moments(
             region, own, victim, 10_000_000, seed=1000 + i
         )
@@ -230,7 +230,7 @@ def test_criterion_7_invariant_suites(b2_analysis, hotspot, params, pc):
     for a_db in (103.8, 130.0):
         p = ChannelParams(a_db, params.alpha, params.sigma_shad_sq)
         m = region_moments(sc.ue_region(cell.id), cell.bs, sc.victim_cell().bs,
-                           p, pc, 100_000, substream(21, 0))
+                           p, pc, 100_000)
         taus.append(tau(m, g).tau)
     if abs(taus[0] - taus[1]) > 1e-9 * taus[0]:
         failures.append("tau not invariant under A offset")

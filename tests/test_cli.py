@@ -84,9 +84,10 @@ class TestAnalyze:
         assert float(fit["mu_q"]) == pytest.approx(float(rows[0]["mu_qb"]), abs=1e-6)
         assert float(fit["var_q"]) == pytest.approx(float(rows[0]["var_qb"]), rel=1e-6)
         assert fit["converged"] == "True"
-        # Monte Carlo standard errors of the moments ride along as the last columns.
-        assert list(rows[0])[-3:] == ["se_mu_l", "se_var_l", "se_abs3_l"]
+        # The quadrature's error estimates and node count ride along as the last columns.
+        assert list(rows[0])[-4:] == ["se_mu_l", "se_var_l", "se_abs3_l", "nodes"]
         assert all(float(rows[0][k]) > 0 for k in ("se_mu_l", "se_var_l", "se_abs3_l"))
+        assert int(rows[0]["nodes"]) > 0
         captured = capsys.readouterr().out
         assert "mu_q=" in captured and "tau_max=" in captured
 
@@ -126,9 +127,22 @@ class TestAnalyze:
         # The solver's last iterate matches no MGF, so it gets no CDF.
         assert not (tmp_path / "ana" / "analytic_cdf.csv").exists()
 
+    def test_seed_has_no_effect(self, tmp_path, b2_scenario):
+        for seed in (1, 2):
+            assert run("analyze", b2_scenario, "--samples", 20_000, "--seed", seed,
+                       "--out", tmp_path / str(seed)) == 0
+        for name in ("report.csv", "fit.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_nonpositive_samples_rejected(self, tmp_path, b2_scenario, capsys, samples):
+        assert run("analyze", b2_scenario, "--samples", samples, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith("ulik: error: ")
+        assert not (tmp_path / "x").exists()
+
     def test_too_thin_region_names_cell(self, tmp_path, capsys):
-        # A 1 um wide annulus: one validation point is found, but the sampler
-        # gives up on 2000 of them at an acceptance rate below 1e-4.
+        # A 1 um wide annulus integrates exactly, but the simulator's
+        # rejection sampler gives up on it at an acceptance rate below 1e-4.
         ring_center = Point(0.05, 0.0)
         ring = Difference(Disk(ring_center, 0.02), Disk(ring_center, 0.02 - 1e-6))
         sc = NetworkScenario(
@@ -138,7 +152,9 @@ class TestAnalyze:
         path = tmp_path / "thin.json"
         save_scenario(sc, path)
         load_scenario(path)
-        assert run("analyze", path, "--samples", 2000, "--out", tmp_path / "ana") == 2
+        assert run("analyze", path, "--samples", 2000, "--out", tmp_path / "ana") == 0
+        capsys.readouterr()
+        assert run("simulate", path, "--samples", 2000, "--out", tmp_path / "sim") == 2
         assert capsys.readouterr().err.startswith("ulik: error: cell 'ring': acceptance rate")
 
     def test_tau_failures_do_not_fail_run(self, tmp_path, b2_scenario):

@@ -4,25 +4,63 @@ import numpy as np
 import pytest
 
 from ulik.channel import ChannelParams, PowerControl
-from ulik.errors import ZeroVarianceError
+from ulik.errors import ValidationError, ZeroVarianceError
 from ulik.gaussian_approx import (
+    RADIAL_NODES,
+    THETA_PANELS,
     GaussianApprox,
     RegionMoments,
     SurrogateAccuracyWarning,
     interferer_gaussian,
     lognormal_exp_gaussian,
+    pathloss_difference,
     region_moments,
     tau,
 )
-from ulik.geometry import Disk, Point
-from ulik.streams import substream
+from ulik.geometry import (
+    Difference,
+    Disk,
+    Ellipse,
+    HalfPlane,
+    Intersection,
+    Point,
+    Polygon,
+    Union,
+    quadrature_nodes,
+)
 
 VICTIM = Point(0.0, 0.0)
 OWN = Point(0.03, 0.0)
 
+# Regions around OWN that use all seven node types.
+QUADRATURE_CASES = {
+    "disk_origin_inside": Disk(OWN, 0.02),
+    "ellipse_origin_inside": Ellipse(Point(0.035, 0.005), 0.015, 0.007, rotation=0.6),
+    "union_outside_box": Union((Disk(Point(0.06, 0.02), 0.01),
+                                Ellipse(Point(0.075, -0.01), 0.012, 0.006, rotation=0.3))),
+    "half_annulus_outside_box": Intersection((
+        Difference(Disk(Point(0.07, 0.0), 0.02), Disk(Point(0.07, 0.0), 0.008)),
+        HalfPlane(Point(0.07, 0.0), Point(0.0, 1.0)))),
+    "far_tiny_disk": Disk(Point(0.2, 0.1), 1e-6),
+    "polygon_origin_inside": Polygon((Point(0.015, -0.01), Point(0.05, -0.005),
+                                      Point(0.045, 0.015), Point(0.02, 0.012))),
+    "polygon_outside_box": Polygon((Point(0.05, 0.01), Point(0.08, 0.0),
+                                    Point(0.07, 0.03), Point(0.055, 0.025))),
+}
 
-def moments_for(region, params, pc, n=200_000, seed=0):
-    return region_moments(region, OWN, VICTIM, params, pc, n, substream(seed, 0))
+
+def moments_for(region, params, pc, n=200_000):
+    return region_moments(region, OWN, VICTIM, params, pc, n)
+
+
+def reference_moments(region, params, pc, panels, radial):
+    """The moments written out over the nodes of a given rule."""
+    xs, ys, ws = quadrature_nodes(region, OWN, panels, radial)
+    p = ws / ws.sum()
+    lvals = pathloss_difference(xs, ys, OWN, VICTIM, params, pc)
+    mu = p @ lvals
+    centered = lvals - mu
+    return np.array([mu, p @ centered**2, p @ np.abs(centered) ** 3])
 
 
 class TestLognormalExpGaussian:
@@ -51,26 +89,49 @@ class TestRegionMoments:
         # with eta=1 the (eta-1)*A term vanishes, so A cannot matter
         region = Disk(OWN, 0.02)
         pc1 = PowerControl(-76.0, 1.0)
-        a = region_moments(region, OWN, VICTIM, ChannelParams(103.8, 20.9, 100.0), pc1,
-                           50_000, substream(3, 0))
-        b = region_moments(region, OWN, VICTIM, ChannelParams(50.0, 20.9, 100.0), pc1,
-                           50_000, substream(3, 0))
+        a = region_moments(region, OWN, VICTIM, ChannelParams(103.8, 20.9, 100.0), pc1, 50_000)
+        b = region_moments(region, OWN, VICTIM, ChannelParams(50.0, 20.9, 100.0), pc1, 50_000)
         assert a.mu_l == pytest.approx(b.mu_l, abs=1e-12)
         assert a.var_l == pytest.approx(b.var_l, abs=1e-12)
 
     def test_lyapunov_inequality(self, params, pc):
-        for seed, radius in [(0, 0.01), (1, 0.02), (2, 0.04)]:
-            m = moments_for(Disk(OWN, radius), params, pc, seed=seed)
+        regions = [Disk(OWN, radius) for radius in (0.01, 0.02, 0.04)]
+        for region in regions + list(QUADRATURE_CASES.values()):
+            m = moments_for(region, params, pc)
             assert m.abs3_l >= m.var_l**1.5
 
-    def test_std_error_scaling(self, params, pc):
-        region = Disk(OWN, 0.02)
-        ratios = []
-        for seed in range(8):
-            a = region_moments(region, OWN, VICTIM, params, pc, 50_000, substream(seed, 0))
-            b = region_moments(region, OWN, VICTIM, params, pc, 100_000, substream(seed, 1))
-            ratios.append(b.std_errors[0] / a.std_errors[0])
-        assert np.mean(ratios) == pytest.approx(1 / math.sqrt(2), rel=0.2)
+    @pytest.mark.parametrize("case", list(QUADRATURE_CASES))
+    def test_error_estimate_bounds_error(self, params, pc, case):
+        # Against a rule with 8x the panels and 4x the radial nodes of the
+        # reported one (the first rule doubled); rounding gets 1e-12 relative.
+        region = QUADRATURE_CASES[case]
+        m = moments_for(region, params, pc, n=1_000_000)
+        ref = reference_moments(region, params, pc, 16 * THETA_PANELS, 8 * RADIAL_NODES)
+        got = np.array([m.mu_l, m.var_l, m.abs3_l])
+        assert np.all(np.abs(got - ref) <= np.array(m.std_errors) + 1e-12 * (1 + np.abs(ref)))
+
+    def test_reported_moments_are_the_finer_rule(self, params, pc):
+        m = moments_for(QUADRATURE_CASES["polygon_origin_inside"], params, pc, n=1)
+        ref = reference_moments(QUADRATURE_CASES["polygon_origin_inside"], params, pc,
+                                2 * THETA_PANELS, 2 * RADIAL_NODES)
+        np.testing.assert_allclose([m.mu_l, m.var_l, m.abs3_l], ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["disk_origin_inside", "polygon_origin_inside",
+                                      "half_annulus_outside_box"])
+    def test_larger_samples_never_larger_error(self, params, pc, case):
+        errs = np.array([moments_for(QUADRATURE_CASES[case], params, pc, n=10**k).std_errors
+                         for k in (2, 4, 6, 8, 10, 12)])
+        assert np.all(np.diff(errs, axis=0) <= 0)
+
+    def test_sample_count_is_the_node_count(self, params, pc):
+        region = QUADRATURE_CASES["disk_origin_inside"]
+        m = moments_for(region, params, pc)
+        assert m.sample_count == len(quadrature_nodes(region, OWN, 2 * THETA_PANELS,
+                                                      2 * RADIAL_NODES)[0])
+
+    def test_nonpositive_sample_count_rejected(self, params, pc):
+        with pytest.raises(ValidationError):
+            moments_for(Disk(OWN, 0.02), params, pc, n=0)
 
 
 class TestTau:
@@ -95,7 +156,7 @@ class TestTau:
         t = []
         for a_db in (103.8, 120.0):
             p = ChannelParams(a_db, params.alpha, params.sigma_shad_sq)
-            m = region_moments(region, OWN, VICTIM, p, pc, 100_000, substream(5, 0))
+            m = region_moments(region, OWN, VICTIM, p, pc, 100_000)
             t.append(tau(m, g).tau)
         assert t[0] == pytest.approx(t[1], rel=1e-9)
 

@@ -13,6 +13,8 @@ from ulik.geometry import (
     Point,
     Polygon,
     Union,
+    quadrature_nodes,
+    ray_segments,
     sample_uniform_xy,
 )
 
@@ -160,3 +162,64 @@ class TestIntegrate:
         # E[x^2 + y^2] over the uniform unit disk is 1/2
         mean, se = self.average(lambda x, y: x**2 + y**2, 500_000, 2)
         assert abs(mean - 0.5) < 3 * se
+
+
+def shoelace(poly):
+    v = [(p.x, p.y) for p in poly.vertices]
+    return 0.5 * sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(v, v[1:] + v[:1]))
+
+
+QUAD = Polygon((Point(0.015, -0.01), Point(0.05, -0.005), Point(0.045, 0.015),
+                Point(0.02, 0.012)))
+INSIDE, OUTSIDE_BOX = Point(0.03, 0.0), Point(-0.05, 0.03)
+
+
+class TestRayCasting:
+    @pytest.mark.parametrize("region, area, origin", [
+        (Disk(Point(0.03, 0.01), 0.02), math.pi * 0.02**2, INSIDE),
+        (Disk(Point(0.03, 0.01), 0.02), math.pi * 0.02**2, OUTSIDE_BOX),
+        (QUAD, shoelace(QUAD), INSIDE),
+        (QUAD, shoelace(QUAD), OUTSIDE_BOX),
+        (Ellipse(Point(0.03, 0.005), 0.02, 0.01, rotation=0.6), math.pi * 0.02 * 0.01, INSIDE),
+        (Ellipse(Point(0.03, 0.005), 0.02, 0.01, rotation=0.6), math.pi * 0.02 * 0.01,
+         OUTSIDE_BOX),
+        (Intersection((Disk(INSIDE, 0.02), HalfPlane(INSIDE, Point(0.6, 0.8)))),
+         math.pi * 0.02**2 / 2, INSIDE),
+        (Difference(Disk(INSIDE, 0.02), Disk(INSIDE, 0.01)), math.pi * 3e-4, INSIDE),
+    ])
+    def test_area_exact(self, region, area, origin):
+        # Panel edges sit at polygon vertices and tangent rays, and r dr is
+        # integrated exactly along each piece.
+        _, _, ws = quadrature_nodes(region, origin, 64, 8)
+        assert ws.sum() == pytest.approx(area, rel=1e-9)
+
+    def test_pieces_are_the_inside_of_each_ray(self):
+        # All seven node types; points along every ray are inside exactly
+        # when they lie within one of its pieces.
+        region = Difference(
+            Union((Disk(Point(0.03, 0.0), 0.02),
+                   Ellipse(Point(0.06, 0.01), 0.015, 0.006, rotation=0.4))),
+            Intersection((QUAD, HalfPlane(Point(0.03, 0.0), Point(0.0, 1.0)))))
+        for origin in (INSIDE, OUTSIDE_BOX, Point(0.06, 0.01)):
+            c, s, _, r0, r1 = ray_segments(region, origin, 16)
+            r = np.linspace(0.0, 0.2, 4001)
+            for dc, ds in set(zip(c, s)):
+                mine = (c == dc) & (s == ds)
+                within = ((r[:, None] > r0[mine]) & (r[:, None] < r1[mine])).any(axis=1)
+                inside = region.mask(origin.x + r * dc, origin.y + r * ds)
+                ends = np.concatenate((r0[mine], r1[mine]))
+                near = (np.abs(r[:, None] - ends) < 1e-12).any(axis=1)
+                assert np.array_equal(within[~near], inside[~near])
+
+    def test_empty_region_raises(self):
+        with pytest.raises(EmptyRegionError):
+            ray_segments(Difference(UNIT_DISK, UNIT_DISK), Point(0.0, 0.0), 16)
+
+    def test_unbounded_region_rejected(self):
+        with pytest.raises(ValidationError):
+            ray_segments(HalfPlane(Point(0, 0), Point(1.0, 0.0)), Point(0.0, 0.0), 16)
+
+    def test_tiny_far_region_is_hit(self):
+        # The rays cover only the angles of the region's bounding box.
+        _, _, ws = quadrature_nodes(Disk(Point(0.2, 0.1), 1e-9), Point(0.0, 0.0), 16, 8)
+        assert ws.sum() == pytest.approx(math.pi * 1e-18, rel=1e-6)

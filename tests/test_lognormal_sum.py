@@ -151,20 +151,20 @@ class TestFitSum:
 
 class TestUltraDenseFit:
     """160 cells of radius 10 m in a 0.3 km square (drop seed 1), analysed at
-    2e4 points per cell with seed 0."""
+    an accuracy target of 2e4 points per cell."""
 
     @pytest.fixture(scope="class")
     def components(self):
         sc = gen_hotspot(HotspotDropSpec(n_cells=160, radius_r=0.01, area_km=(0.3, 0.3),
                                          seed=1))
-        return [c.component for c in analyze(sc, 20_000, 0).cells], sc.power.p0_dbm
+        return [c.component for c in analyze(sc, 20_000).cells], sc.power.p0_dbm
 
     def test_converges_at_large_design_points(self, components):
         comps, p0 = components
         fit = fit_sum(comps, s1=100.0, s2=10.0, rule=gh_rule(12), ref_dbm=p0)
         assert fit.converged
-        assert fit.mu_q == pytest.approx(-73.7015, abs=1e-4)
-        assert fit.var_q == pytest.approx(4.4343, abs=1e-4)
+        assert fit.mu_q == pytest.approx(-73.6998, abs=1e-4)
+        assert fit.var_q == pytest.approx(4.4346, abs=1e-4)
 
     def test_no_root_is_reported_not_raised(self, components):
         comps, p0 = components

@@ -20,7 +20,7 @@ def spans():
     sc = gen_single_interferer(0.02)
     tracer = tracing.Tracer()
     with tracer.installed():
-        pipeline.analyze(sc, 2000, 1)
+        pipeline.analyze(sc, 2000)
         simulator.simulate(sc, simulator.SimConfig(n_samples=2000, seed=2, threads=1))
     return tracer.take()
 
