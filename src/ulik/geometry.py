@@ -372,13 +372,13 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _panel_maps(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node positions and weights on [0, 1] of the four panel maps of the
+    """Node positions and weights on [0, 1] of the three panel maps of the
     angle rule, indexed by (break at the start) + 2 * (break at the end):
-    t, t^2, 1 - (1-t)^2 and the smoothstep 3t^2 - 2t^3."""
+    t, t^2 and 1 - (1-t)^2."""
     t, w = _gauss_legendre(order)
     u = 1.0 - t
-    g = np.array([t, t * t, 1.0 - u * u, t * t * (3.0 - 2.0 * t)])
-    dg = np.array([np.ones_like(t), 2.0 * t, 2.0 * u, 6.0 * t * u])
+    g = np.array([t, t * t, 1.0 - u * u])
+    dg = np.array([np.ones_like(t), 2.0 * t, 2.0 * u])
     return g, w * dg
 
 
@@ -387,9 +387,10 @@ def _angle_rule(breaks, panels: int, span=None):
     about ``panels`` panels whose edges include every break angle.
 
     ``span`` is (lo, hi), or None for the full circle, which then starts at
-    a break.  A panel [a, a+h] that starts at a tangent break is mapped by
-    theta = a + h*t^2 (mirrored when it ends at one, a smoothstep when both),
-    which makes the square-root behaviour there smooth.
+    a break.  Every interval between breaks gets at least two panels; a
+    panel [a, a+h] that starts at a tangent break is mapped by
+    theta = a + h*t^2 (mirrored when it ends at one), which makes the
+    square-root behaviour there smooth.
     """
     angle = np.array([b[0] for b in breaks], dtype=float)
     tangent = np.array([b[1] for b in breaks], dtype=bool)
@@ -403,7 +404,7 @@ def _angle_rule(breaks, panels: int, span=None):
     if not span:
         smooth[-1] = smooth[0]
     widths = np.diff(cuts)
-    counts = np.maximum(1, np.rint(panels * widths / (hi - lo))).astype(int)
+    counts = np.maximum(2, np.rint(panels * widths / (hi - lo))).astype(int)
     interval = np.repeat(np.arange(len(counts)), counts)
     i = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     h = (widths / counts)[interval][:, None]
