@@ -123,6 +123,16 @@ class TestRegionMoments:
                          for k in (2, 4, 6, 8, 10, 12)])
         assert np.all(np.diff(errs, axis=0) <= 0)
 
+    def test_std_error_scaling(self, params, pc):
+        # Doubling the samples never raises an error estimate, and each stays
+        # below the standard error of the mean that n uniform points would give.
+        region = Disk(OWN, 0.02)
+        a = moments_for(region, params, pc, n=50_000)
+        b = moments_for(region, params, pc, n=100_000)
+        assert np.all(np.array(b.std_errors) <= np.array(a.std_errors))
+        for m, n in ((a, 50_000), (b, 100_000)):
+            assert m.std_errors[0] <= math.sqrt(m.var_l / n)
+
     def test_sample_count_is_the_node_count(self, params, pc):
         region = QUADRATURE_CASES["disk_origin_inside"]
         m = moments_for(region, params, pc)
