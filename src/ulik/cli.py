@@ -12,6 +12,7 @@ the tool itself failed.
 
 import argparse
 import csv
+import math
 import sys
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import gaussian_approx, pipeline, scenario_io, simulator
 from .distribution import ks_distance
-from .errors import UlikError, ValidationError
+from .errors import SchemaError, UlikError, ValidationError
 from .gaussian_approx import GaussianApprox
 
 
@@ -116,37 +117,47 @@ def _read_report(path):
         return list(csv.DictReader(fh))
 
 
+def _field(path, line, row, column):
+    """The number in `column` on line `line` of a CSV file; a missing, malformed
+    or non-finite value is a SchemaError naming the file, line and column."""
+    text = row.get(column)
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}: line {line}, column {column!r}: "
+                          f"expected a finite number, got {text!r}")
+    return value
+
+
 def cmd_compare(args) -> int:
     fit_rows = _read_report(args.fit)
     if len(fit_rows) != 1:
         raise ValidationError(f"{args.fit}: expected exactly one fit row")
-    fit = fit_rows[0]
+    mu_q, var_q = (_field(args.fit, 2, fit_rows[0], c) for c in ("mu_q", "var_q"))
     agg = simulator.read_samples(args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    ks_percell_max = None
     if args.report and args.per_cell_dir:
         per_cell_dir = Path(args.per_cell_dir)
-        for row in _read_report(args.report):
-            dump = per_cell_dir / f"cell_{row['cell_id']}.bin"
+        for line, row in enumerate(_read_report(args.report), start=2):
+            cell_id = row.get("cell_id")
+            if cell_id is None:
+                raise SchemaError(f"{args.report}: line {line}: no 'cell_id' value")
+            dump = per_cell_dir / f"cell_{cell_id}.bin"
             if not dump.exists():
                 continue
-            cell_samples = simulator.read_samples(dump)
-            ks = ks_distance(
-                cell_samples,
-                GaussianApprox(float(row["mu_qb"]), float(row["var_qb"])),
-            )
-            rows.append([row["cell_id"], ks])
-            ks_percell_max = ks if ks_percell_max is None else max(ks_percell_max, ks)
+            mu_qb, var_qb = (_field(args.report, line, row, c) for c in ("mu_qb", "var_qb"))
+            ks = ks_distance(simulator.read_samples(dump), GaussianApprox(mu_qb, var_qb))
+            rows.append([cell_id, ks])
 
-    ks_agg = ks_distance(agg, GaussianApprox(float(fit["mu_q"]), float(fit["var_q"])))
-    rows.append(["aggregate", ks_agg])
-    _write_csv(out / "comparison.csv", ["cell_id", "ks"], rows)
-
-    if ks_percell_max is not None:
-        _emit("KS_percell_max", ks_percell_max)
+    ks_agg = ks_distance(agg, GaussianApprox(mu_q, var_q))
+    _write_csv(out / "comparison.csv", ["cell_id", "ks"], rows + [["aggregate", ks_agg]])
+    if rows:
+        _emit("KS_percell_max", max(ks for _, ks in rows))
     _emit("KS_aggregate", ks_agg)
     return 0
 

@@ -6,7 +6,8 @@ class UlikError(Exception):
 
 
 class EmptyRegionError(UlikError):
-    """Rejection sampling could not find any point inside the region."""
+    """A region has no area: its bounding box is empty, no ray meets it, or
+    rejection sampling finds no point in it."""
 
 
 class DegenerateGeometryError(UlikError):
@@ -38,7 +39,7 @@ class DomainMismatchError(UlikError):
 
 
 class SchemaError(UlikError):
-    """Scenario document does not conform to the file schema."""
+    """An input file (scenario, CSV report or sample dump) breaks its format."""
 
 
 class ValidationError(UlikError):

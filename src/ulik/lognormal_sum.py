@@ -55,20 +55,32 @@ def gh_rule(m0: int) -> GaussHermiteRule:
     return GaussHermiteRule(order=m0, abscissas=a, weights=w)
 
 
-def _log_mgf(mu: float, var: float, s: float, rule: GaussHermiteRule) -> float:
-    """log of the GH-approximated MGF of the lognormal 10^(X/10), X ~ N(mu, var).
+def _log_mgf(mu, var, s, rule: GaussHermiteRule):
+    """log of the GH-approximated MGF of the lognormal 10^(X/10), X ~ N(mu, var),
+    and its derivatives with respect to mu and log sigma.
 
-    When the MGF is close to 1 (weak components, the interesting regime for
+    mu, var and s broadcast against each other, with the nodes on a trailing
+    axis, so one call evaluates every component at every design point.  When
+    the MGF is close to 1 (weak components, the interesting regime for
     dense-network sums) log(MGF) is of order -s*E[X] and must keep full
-    relative precision, so it is formed with expm1/log1p; the logsumexp route
-    takes over when the MGF itself is small.
+    relative precision, so it is formed with expm1/log1p; logsumexp takes
+    over below 1/2, where MGF - 1 is clamped so that log1p never sees -1.  The
+    derivatives weight each node by its share of the MGF, a softmax of the
+    log terms formed in the log domain, so a node whose power overflows
+    contributes 0.
     """
-    z = np.exp((math.sqrt(2.0 * max(var, 0.0)) * rule.abscissas + mu) / ZETA)
-    t = float(np.dot(rule.weights, np.expm1(-s * z))) / math.sqrt(math.pi)
-    if t > -0.5:
-        return math.log1p(t)
-    log_terms = np.log(rule.weights / math.sqrt(math.pi)) - s * z
-    return float(logsumexp(log_terms))
+    mu, var, s = (np.asarray(a, dtype=float)[..., None] for a in (mu, var, s))
+    x = np.sqrt(2.0 * np.maximum(var, 0.0)) * rule.abscissas
+    log_z = (x + mu) / ZETA
+    with np.errstate(over="ignore"):
+        sz = s * np.exp(log_z)
+    t = np.expm1(-sz) @ rule.weights / math.sqrt(math.pi)
+    log_terms = np.log(rule.weights / math.sqrt(math.pi)) - sz
+    lse = logsumexp(log_terms, axis=-1, keepdims=True)
+    value = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)), lse[..., 0])
+    # d log MGF / d log z_i = -(share of node i) * s * z_i; d log z_i / d mu = 1 / ZETA
+    d = -np.exp(np.log(s) + log_z + log_terms - lse) / ZETA
+    return value, d.sum(axis=-1), (d * x).sum(axis=-1)
 
 
 def lognormal_mgf(mu: float, var: float, s: float, rule: GaussHermiteRule) -> float:
@@ -77,23 +89,7 @@ def lognormal_mgf(mu: float, var: float, s: float, rule: GaussHermiteRule) -> fl
         raise InvalidDesignPointsError(f"MGF design point must be positive, got {s}")
     if var < 0:
         raise ValidationError(f"variance must be nonnegative, got {var}")
-    return math.exp(_log_mgf(mu, var, s, rule))
-
-
-def _log_mgf_grad(mu: float, var: float, s: float,
-                  rule: GaussHermiteRule) -> tuple[float, float]:
-    """Derivatives of _log_mgf with respect to mu and log sigma.
-
-    Both are sums over the same nodes as the value, each node weighted by its
-    share of the MGF (a softmax of the log terms).  The shares are formed in
-    the log domain, so a node whose power overflows contributes 0.
-    """
-    x = math.sqrt(2.0 * var) * rule.abscissas
-    log_z = (x + mu) / ZETA
-    log_terms = np.log(rule.weights) - s * np.exp(log_z)
-    # d log MGF / d log z_i = -(share of node i) * s * z_i; d log z_i / d mu = 1 / ZETA
-    d = -np.exp(math.log(s) + log_z + log_terms - logsumexp(log_terms)) / ZETA
-    return float(d.sum()), float(np.dot(d, x))
+    return math.exp(_log_mgf(mu, var, s, rule)[0])
 
 
 def fenton_wilkinson(components: Sequence[GaussianApprox]) -> tuple[float, float]:
@@ -108,26 +104,6 @@ def fenton_wilkinson(components: Sequence[GaussianApprox]) -> tuple[float, float
     var_q = ZETA**2 * math.log1p(v_tot / m_tot**2)
     mu_q = ZETA * math.log(m_tot) - var_q / (2 * ZETA)
     return mu_q, var_q
-
-
-def _residuals(mu, log_sigma, targets, s_points, rule):
-    """Log-MGF mismatch at the design points, scaled by the target magnitude.
-
-    The scaling matters: for sums of many weak components both MGF targets sit
-    just below 1 and all information lives in log(MGF) ~ -1e-8, so an absolute
-    tolerance on the MGF would accept fits with arbitrary variance.  A
-    variance that overflows gives infinite residuals.
-    """
-    with np.errstate(over="ignore"):
-        var = float(np.exp(2.0 * log_sigma))
-    if not math.isfinite(var):
-        return np.full(len(targets), np.inf)
-    return np.array(
-        [
-            (_log_mgf(mu, var, s, rule) - t) / max(abs(t), 1e-300)
-            for s, t in zip(s_points, targets)
-        ]
-    )
 
 
 def fit_sum(
@@ -161,7 +137,9 @@ def fit_sum(
         raise InvalidDesignPointsError(f"need 0 < s2 < s1, got s1={s1}, s2={s2}")
     if rule is None:
         rule = gh_rule(12)
-    s_points = (s1, s2)
+    s_points = np.array([s1, s2])
+    mus = np.array([c.mean for c in components], dtype=float)
+    vs = np.array([c.variance for c in components], dtype=float)
     # Work on components normalized to a reference level.  At raw dBm scale
     # (1e-10 mW interferers) both MGF targets collapse to 1 - O(1e-8) and the
     # design points carry no shape information; the rescaling moves them to
@@ -169,39 +147,46 @@ def fit_sum(
     if ref_dbm is not None:
         ref = float(ref_dbm)
     else:
-        ref = ZETA * logsumexp(
-            [c.mean / ZETA + c.variance / (2 * ZETA**2) for c in components]
-        )
-    norm = [GaussianApprox(c.mean - ref, c.variance) for c in components]
+        ref = ZETA * logsumexp(mus / ZETA + vs / (2 * ZETA**2))
+    mus -= ref
     # Product of component MGFs, accumulated in the log domain.
-    targets = [
-        sum(_log_mgf(c.mean, c.variance, s, rule) for c in norm) for s in s_points
-    ]
+    targets = _log_mgf(mus[:, None], vs[:, None], s_points, rule)[0].sum(axis=0)
+    scale = np.maximum(np.abs(targets), 1e-300)
 
-    if all(c.variance == 0 for c in components):
+    def residuals(mu, ls):
+        # Log-MGF mismatch scaled by the target magnitude, and its Jacobian in
+        # (mu, log sigma).  For sums of many weak components both targets sit
+        # just below 1 and all information lives in log(MGF) ~ -1e-8, so an
+        # absolute tolerance on the MGF would accept any variance.  A variance
+        # that overflows gives infinite residuals.
+        with np.errstate(over="ignore"):
+            var = float(np.exp(2.0 * ls))
+        if not math.isfinite(var):
+            return np.full(2, np.inf), None
+        value, d_mu, d_ls = _log_mgf(mu, var, s_points, rule)
+        return (value - targets) / scale, np.stack([d_mu, d_ls], axis=1) / scale[:, None]
+
+    if not vs.any():
         # Sum of constants: the exact fit is a point mass (exp(2 * -400) == 0.0).
-        mu, ls = 10.0 * math.log10(sum(10 ** (c.mean / 10.0) for c in norm)), -400.0
+        mu, ls = ZETA * logsumexp(mus / ZETA), -400.0
         budget = 0
     else:
-        mu, var0 = fenton_wilkinson(norm)
+        mu, var0 = fenton_wilkinson([GaussianApprox(m, v) for m, v in zip(mus, vs)])
         ls = 0.5 * math.log(max(var0, 1e-16))
         budget = _MAX_NEWTON_ITER
-    scale = np.array([max(abs(t), 1e-300) for t in targets])
-    f = _residuals(mu, ls, targets, s_points, rule)
+    f, jac = residuals(mu, ls)
     size = float(np.max(np.abs(f)))
     sizes = [size]
     iterations = 0
     while size > _TARGET_TOL and iterations < budget:
         iterations += 1
-        var = math.exp(2.0 * ls)
-        jac = np.array([_log_mgf_grad(mu, var, s, rule) for s in s_points]) / scale[:, None]
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             break
         step *= 1.0 / max(1.0, abs(step[1]) / _MAX_LOG_SIGMA_STEP)
         for _ in range(_MAX_HALVINGS + 1):
-            f_new = _residuals(mu + step[0], ls + step[1], targets, s_points, rule)
+            f_new, jac_new = residuals(mu + step[0], ls + step[1])
             # False for NaN or infinite residuals, so such trial points are rejected.
             if float(np.max(np.abs(f_new))) < size:
                 break
@@ -209,7 +194,7 @@ def fit_sum(
         else:
             break
         mu, ls = mu + step[0], ls + step[1]
-        f, size = f_new, float(np.max(np.abs(f_new)))
+        f, jac, size = f_new, jac_new, float(np.max(np.abs(f_new)))
         sizes.append(size)
         if len(sizes) > _STALL_STEPS and size > 0.1 * sizes[-1 - _STALL_STEPS]:
             break

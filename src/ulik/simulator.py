@@ -174,8 +174,12 @@ def read_samples(path) -> EmpiricalDistribution:
     raw = Path(path).read_bytes()
     if raw[:8] != SAMPLE_DUMP_MAGIC:
         raise SchemaError(f"{path}: not a ulik sample dump")
+    if len(raw) < 16 or len(raw) % 8:
+        raise SchemaError(f"{path}: truncated sample dump ({len(raw)} bytes)")
     (count,) = struct.unpack("<Q", raw[8:16])
     data = np.frombuffer(raw[16:], dtype="<f8")
     if len(data) != count:
         raise SchemaError(f"{path}: declared {count} samples, found {len(data)}")
+    if not np.isfinite(data).all():
+        raise SchemaError(f"{path}: non-finite sample value")
     return EmpiricalDistribution.from_samples(data, DBM)

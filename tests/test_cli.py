@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import struct
 
 import pytest
 
@@ -18,7 +19,7 @@ from ulik.scenario_io import (
     load_scenario,
     save_scenario,
 )
-from ulik.simulator import write_samples
+from ulik.simulator import SAMPLE_DUMP_MAGIC, write_samples
 
 
 def run(*argv):
@@ -217,3 +218,36 @@ class TestCompare:
                     if l.startswith("KS_aggregate="))
         ks = float(line.split("=")[1])
         assert math.isfinite(ks) and ks == 0.5
+
+    FIT_HEADER = "scenario_id,s1,s2,m0,mu_q,var_q,residual1,residual2,iterations,converged\n"
+    GOOD_FIT = "x,1.0,0.1,12,-80.0,4.0,0.0,0.0,3,True\n"
+
+    @pytest.mark.parametrize("fit_text, report_text, dump_bytes, message", [
+        ("scenario_id,var_q\nx,4.0\n", None, None, "'mu_q'"),
+        (FIT_HEADER + "x,1.0,0.1,12,abc,4.0,0.0,0.0,3,True\n", None, None, "'abc'"),
+        (FIT_HEADER + "x,1.0,0.1,12,nan,4.0,0.0,0.0,3,True\n", None, None, "'nan'"),
+        (FIT_HEADER + GOOD_FIT, "cell_id,var_qb\n7,4.0\n", None, "'mu_qb'"),
+        (FIT_HEADER + GOOD_FIT, "mu_qb,var_qb\n-80.0,4.0\n", None, "'cell_id'"),
+        (FIT_HEADER + GOOD_FIT, None, SAMPLE_DUMP_MAGIC + b"\x01\x00", "truncated"),
+        (FIT_HEADER + GOOD_FIT, None,
+         SAMPLE_DUMP_MAGIC + struct.pack("<Qd", 2, -80.0) + b"\x00" * 3, "truncated"),
+        (FIT_HEADER + GOOD_FIT, None,
+         SAMPLE_DUMP_MAGIC + struct.pack("<Qdd", 2, -80.0, math.inf), "non-finite"),
+    ], ids=["fit_no_mu_q", "fit_text_mu_q", "fit_nan_mu_q", "report_no_mu_qb",
+            "report_no_cell_id", "dump_short_header", "dump_partial_value", "dump_inf_value"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, fit_text, report_text,
+                                     dump_bytes, message):
+        good = EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0], "dbm")
+        fit, report, dump = tmp_path / "fit.csv", tmp_path / "report.csv", tmp_path / "s.bin"
+        fit.write_text(fit_text)
+        write_samples(dump, good)
+        if dump_bytes is not None:
+            dump.write_bytes(dump_bytes)
+        argv = ["compare", "--fit", fit, "--samples", dump, "--out", tmp_path / "cmp"]
+        if report_text is not None:
+            report.write_text(report_text)
+            write_samples(tmp_path / "cell_7.bin", good)
+            argv += ["--report", report, "--per-cell-dir", tmp_path]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ulik: error:") and message in err

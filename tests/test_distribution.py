@@ -123,6 +123,18 @@ class TestKsDistance:
         e = EmpiricalDistribution.from_samples(np.random.default_rng(0).normal(size=1000), "dbm")
         assert ks_distance(e, e) == 0.0
 
+    def test_two_samples_closed_form(self):
+        # Shifting 100 distinct points by 30 of their spacings moves 30% of
+        # the mass; with ties, the sup sits between a's last point and b's.
+        a = EmpiricalDistribution.from_samples(np.arange(100.0), "dbm")
+        b = EmpiricalDistribution.from_samples(np.arange(100.0) + 30.0, "dbm")
+        assert ks_distance(a, b) == pytest.approx(0.3, abs=1e-15)
+        assert ks_distance(b, a) == pytest.approx(0.3, abs=1e-15)
+        c = EmpiricalDistribution.from_samples([1.0, 2.0, 2.0, 3.0], "dbm")
+        d = EmpiricalDistribution.from_samples([2.0, 4.0], "dbm")
+        assert ks_distance(c, d) == 0.5
+        assert ks_distance(d, c) == 0.5
+
     def test_point_mass(self):
         e = EmpiricalDistribution.from_samples([2.0] * 50, "dbm")
 

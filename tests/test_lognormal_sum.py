@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ulik.errors import InvalidDesignPointsError, UlikError, UnsupportedOrderError
 from ulik.gaussian_approx import GaussianApprox
-from ulik.lognormal_sum import fenton_wilkinson, fit_sum, gh_rule, lognormal_mgf
+from ulik.lognormal_sum import _log_mgf, fenton_wilkinson, fit_sum, gh_rule, lognormal_mgf
 from ulik.pipeline import analyze
 from ulik.scenario_io import HotspotDropSpec, gen_hotspot
 
@@ -64,6 +64,53 @@ class TestLognormalMgf:
         rule = gh_rule(12)
         vals = [lognormal_mgf(mu, 36.0, 1.0, rule) for mu in np.linspace(-40.0, 10.0, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestLogMgfKernel:
+    # (mu, var, s): an MGF near 1 (the expm1/log1p branch), small MGFs (the
+    # logsumexp branch, up to s = 1e4) and a degenerate variance.
+    POINTS = [(-40.0, 50.0, 0.01), (-10.0, 36.0, 1.0), (0.0, 100.0, 0.1),
+              (5.0, 200.0, 3.0), (-20.0, 150.0, 1e4), (-3.0, 0.0, 2.0)]
+
+    def test_array_call_equals_scalar_calls(self):
+        rule = gh_rule(12)
+        mu, var, s = (np.array(c) for c in zip(*self.POINTS))
+        grid = _log_mgf(mu[:, None], var[:, None], s[None, :], rule)
+        # The branches switch where the MGF crosses 1/2.
+        assert (grid[0] > math.log(0.5)).any() and (grid[0] < math.log(0.5)).any()
+        for i in range(len(mu)):
+            for j in range(len(s)):
+                one = _log_mgf(mu[i], var[i], s[j], rule)
+                for got, want in zip(grid, one):
+                    assert got[i, j] == pytest.approx(float(want), rel=1e-15, abs=1e-300)
+
+    @pytest.mark.parametrize("mu, var, s", POINTS[:5])
+    def test_derivatives_match_central_differences(self, mu, var, s):
+        rule = gh_rule(12)
+        _, d_mu, d_ls = _log_mgf(mu, var, s, rule)
+        h = 1e-5
+        value = lambda m, ls: float(_log_mgf(m, math.exp(2.0 * ls), s, rule)[0])
+        ls = 0.5 * math.log(var)
+        num_mu = (value(mu + h, ls) - value(mu - h, ls)) / (2 * h)
+        num_ls = (value(mu, ls + h) - value(mu, ls - h)) / (2 * h)
+        assert float(d_mu) == pytest.approx(num_mu, rel=1e-6)
+        assert float(d_ls) == pytest.approx(num_ls, rel=1e-6)
+
+    @pytest.mark.parametrize("var", [1e4, 1e6])
+    def test_overflowing_node_stays_finite(self, var):
+        # At var = 1e6 the power 10^(X/10) of the outer nodes overflows to inf.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = _log_mgf(0.0, var, 1e4, gh_rule(12))
+        assert all(np.isfinite(v) for v in out)
+        assert float(out[0]) < 0 and float(out[1]) < 0
+
+    @pytest.mark.parametrize("mu, var, s", [(-40.0, 50.0, 0.01), (-10.0, 36.0, 1.0),
+                                            (0.0, 25.0, 0.1), (-3.0, 4.0, 2.0)])
+    def test_lognormal_mgf_matches_direct_sum(self, mu, var, s):
+        rule = gh_rule(12)
+        z = 10.0 ** ((math.sqrt(2.0 * var) * rule.abscissas + mu) / 10.0)
+        direct = float(np.sum(rule.weights * np.exp(-s * z))) / math.sqrt(math.pi)
+        assert lognormal_mgf(mu, var, s, rule) == pytest.approx(direct, rel=1e-14)
 
 
 class TestFitSum:
