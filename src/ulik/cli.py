@@ -32,8 +32,10 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _cdf_grid(lo_dbm, hi_dbm, n=1000):
-    return np.linspace(lo_dbm, hi_dbm, n)
+def _write_cdf(path, column, dist):
+    """The CDF of `dist` on 1000 points between its 0.001 and 0.999 quantiles."""
+    grid = np.linspace(dist.quantile(0.001), dist.quantile(0.999), 1000)
+    _write_csv(path, ["value_dbm", column], zip(grid, dist.cdf(grid)))
 
 
 def _emit(key, value):
@@ -68,10 +70,7 @@ def cmd_analyze(args) -> int:
                  fit.residuals[0], fit.residuals[1], fit.iterations, fit.converged]])
 
     if fit.converged and fit.var_q > 0:
-        dist = GaussianApprox(fit.mu_q, fit.var_q)
-        grid = _cdf_grid(dist.quantile(0.001), dist.quantile(0.999))
-        _write_csv(out / "analytic_cdf.csv", ["value_dbm", "analytic_cdf"],
-                   zip(grid, dist.cdf(grid)))
+        _write_cdf(out / "analytic_cdf.csv", "analytic_cdf", GaussianApprox(fit.mu_q, fit.var_q))
 
     _emit("cells", len(rows))
     _emit("tau_max", max(row[4] for row in rows))
@@ -96,9 +95,7 @@ def cmd_simulate(args) -> int:
     result = simulator.simulate(scenario, cfg)
 
     agg = result.aggregate_dbm
-    grid = _cdf_grid(agg.quantile(0.001), agg.quantile(0.999))
-    _write_csv(out / "empirical_cdf.csv", ["value_dbm", "empirical_cdf"],
-               zip(grid, agg.cdf(grid)))
+    _write_cdf(out / "empirical_cdf.csv", "empirical_cdf", agg)
     if args.raw:
         simulator.write_samples(out / "samples.bin", agg)
     if result.per_cell_db is not None:
@@ -136,12 +133,17 @@ def cmd_compare(args) -> int:
     if len(fit_rows) != 1:
         raise ValidationError(f"{args.fit}: expected exactly one fit row")
     mu_q, var_q = (_field(args.fit, 2, fit_rows[0], c) for c in ("mu_q", "var_q"))
+    if fit_rows[0].get("converged") != "True":
+        raise ValidationError(f"{args.fit}: the fit did not converge; it matches no MGF")
+    if (args.report is None) != (args.per_cell_dir is None):
+        raise ValidationError("--report and --per-cell-dir go together: "
+                              "give both for per-cell KS, or neither")
     agg = simulator.read_samples(args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    if args.report and args.per_cell_dir:
+    if args.report is not None:
         per_cell_dir = Path(args.per_cell_dir)
         for line, row in enumerate(_read_report(args.report), start=2):
             cell_id = row.get("cell_id")

@@ -1,22 +1,18 @@
 """Fitted-lognormal PDF/CDF evaluation and empirical-distribution utilities
 (CDF, quantiles, Kolmogorov-Smirnov distance).
 
-Samples and CDFs carry a domain tag ("dbm" or "mw") so that comparisons
-across the two scales fail loudly instead of silently disagreeing.
+Every sample the program draws or reads is a dBm value; the lognormal over
+linear power (mW) is only evaluated, never sampled.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatchError, NonpositiveValueError, ValidationError
+from .errors import NonpositiveValueError, ValidationError
 from .gaussian_approx import GaussianApprox
 from .lognormal_sum import ZETA
-
-DBM = "dbm"
-MW = "mw"
-
 
 # The dB-domain Gaussian is gaussian_approx.GaussianApprox; this is a second
 # name for it.
@@ -29,7 +25,6 @@ class LognormalDist:
 
     mu_q: float
     var_q: float
-    domain: str = MW
 
     def __post_init__(self):
         if self.var_q <= 0:
@@ -55,9 +50,7 @@ class LognormalDist:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    samples: np.ndarray  # sorted, ascending
-    domain: str
-    count: int = field(init=False)
+    samples: np.ndarray  # sorted, ascending, dBm
 
     def __post_init__(self):
         s = self.samples
@@ -65,14 +58,14 @@ class EmpiricalDistribution:
             raise ValidationError("need at least one sample")
         if np.any(np.diff(s) < 0):
             raise ValidationError("samples must be sorted ascending")
-        if self.domain not in (DBM, MW):
-            raise ValidationError(f"unknown sample domain {self.domain!r}")
-        object.__setattr__(self, "count", len(s))
+
+    @property
+    def count(self) -> int:
+        return len(self.samples)
 
     @classmethod
-    def from_samples(cls, values, domain: str) -> "EmpiricalDistribution":
-        arr = np.sort(np.asarray(values, dtype=float))
-        return cls(samples=arr, domain=domain)
+    def from_samples(cls, values) -> "EmpiricalDistribution":
+        return cls(samples=np.sort(np.asarray(values, dtype=float)))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -86,14 +79,10 @@ class EmpiricalDistribution:
 def ks_distance(a: EmpiricalDistribution, b) -> float:
     """sup |F_a - F_b| with both step sides of the empirical CDF checked.
 
-    b is any object exposing ``cdf(values)`` and a ``domain`` tag, another
-    EmpiricalDistribution included: F_a is constant between a's points, so
-    F_b's values and left limits there give the exact sup.
+    a's samples are dBm values; b is any object exposing ``cdf(values)`` over
+    dBm, another EmpiricalDistribution included: F_a is constant between a's
+    points, so F_b's values and left limits there give the exact sup.
     """
-    if getattr(b, "domain", a.domain) != a.domain:
-        raise DomainMismatchError(
-            f"cannot compare {a.domain!r} samples against a {b.domain!r} CDF"
-        )
     n = a.count
     fb = np.asarray(b.cdf(a.samples), dtype=float)
     # Left limits of b let CDFs with jumps (e.g. point masses) compare exactly.

@@ -34,10 +34,6 @@ class NonpositiveValueError(UlikError):
     pass
 
 
-class DomainMismatchError(UlikError):
-    """Mixed dBm / mW sample domains in a distribution comparison."""
-
-
 class SchemaError(UlikError):
     """An input file (scenario, CSV report or sample dump) breaks its format."""
 

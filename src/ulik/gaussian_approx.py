@@ -41,7 +41,6 @@ class GaussianApprox:
 
     mean: float
     variance: float
-    domain = "dbm"  # class attribute, not a field: the sample domain of the CDF
 
     def __post_init__(self):
         if self.variance < 0:

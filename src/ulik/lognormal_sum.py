@@ -166,19 +166,13 @@ def fit_sum(
         value, d_mu, d_ls = _log_mgf(mu, var, s_points, rule)
         return (value - targets) / scale, np.stack([d_mu, d_ls], axis=1) / scale[:, None]
 
-    if not vs.any():
-        # Sum of constants: the exact fit is a point mass (exp(2 * -400) == 0.0).
-        mu, ls = ZETA * logsumexp(mus / ZETA), -400.0
-        budget = 0
-    else:
-        mu, var0 = fenton_wilkinson([GaussianApprox(m, v) for m, v in zip(mus, vs)])
-        ls = 0.5 * math.log(max(var0, 1e-16))
-        budget = _MAX_NEWTON_ITER
+    mu, var0 = fenton_wilkinson([GaussianApprox(m, v) for m, v in zip(mus, vs)])
+    ls = 0.5 * math.log(max(var0, 1e-16))
     f, jac = residuals(mu, ls)
     size = float(np.max(np.abs(f)))
     sizes = [size]
     iterations = 0
-    while size > _TARGET_TOL and iterations < budget:
+    while size > _TARGET_TOL and iterations < _MAX_NEWTON_ITER:
         iterations += 1
         try:
             step = np.linalg.solve(jac, -f)

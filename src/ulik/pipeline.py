@@ -37,11 +37,12 @@ def analyze(scenario, samples: int, *, m0: int = 12, s1: float = 1.0, s2: float 
         channel.combined_shadow_stats(scenario.channel, scenario.power))
     rule = lognormal_sum.gh_rule(m0)
     p0 = scenario.power.p0_dbm
+    victim_bs = scenario.victim_cell().bs
     cells = []
     for cell in scenario.interfering_cells():
         try:
             moments = gaussian_approx.region_moments(
-                scenario.ue_region(cell.id), cell.bs, scenario.victim_cell().bs,
+                scenario.ue_region(cell.id), cell.bs, victim_bs,
                 scenario.channel, scenario.power, samples)
         except EmptyRegionError as exc:
             raise EmptyRegionError(f"cell {cell.id!r}: {exc}") from exc

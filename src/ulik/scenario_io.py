@@ -52,7 +52,7 @@ class NetworkScenario:
     metadata: dict = field(default_factory=dict)
 
     def victim_cell(self) -> Cell:
-        return next(c for c in self.cells if c.id == self.victim_cell_id)
+        return self.cell(self.victim_cell_id)
 
     def interfering_cells(self) -> list[Cell]:
         return [c for c in self.cells if c.id != self.victim_cell_id]
@@ -295,19 +295,10 @@ def gen_single_interferer(
         ))
     else:
         raise ValidationError(f"unknown single-interferer shape {shape!r}")
-    scenario = NetworkScenario(
-        cells=(
-            Cell(id="victim", bs=victim_bs,
-                 region=_clipped_disk_region(0, positions, r)),
-            Cell(id="interferer", bs=interf_bs, region=region),
-        ),
-        victim_cell_id="victim",
-        channel=DEFAULT_CHANNEL,
-        power=DEFAULT_POWER,
-        metadata=dict(generator="single_interferer", shape=shape,
-                      radius_km=str(r), seed=str(seed)),
-    )
-    return _validate(scenario)
+    cells = (Cell(id="victim", bs=victim_bs, region=_clipped_disk_region(0, positions, r)),
+             Cell(id="interferer", bs=interf_bs, region=region))
+    return _network(cells, "victim", generator="single_interferer", shape=shape,
+                    radius_km=str(r), seed=str(seed))
 
 
 @dataclass(frozen=True)
@@ -341,6 +332,19 @@ def _clipped_disk_region(i: int, positions: list[Point], r: float) -> Region:
     return Intersection((disk, *planes)) if planes else disk
 
 
+def _disk_cells(positions: list[Point], r: float) -> tuple[Cell, ...]:
+    """Cells "cell_00", "cell_01", ... with clipped reference-disk regions."""
+    return tuple(Cell(id=f"cell_{i:02d}", bs=p, region=_clipped_disk_region(i, positions, r))
+                 for i, p in enumerate(positions))
+
+
+def _network(cells: tuple[Cell, ...], victim_id: str, **metadata) -> NetworkScenario:
+    """A validated scenario with the default channel and power control."""
+    return _validate(NetworkScenario(cells=cells, victim_cell_id=victim_id,
+                                     channel=DEFAULT_CHANNEL, power=DEFAULT_POWER,
+                                     metadata=metadata))
+
+
 def gen_hotspot(spec: HotspotDropSpec) -> NetworkScenario:
     """Uniform BS drop with a minimum spacing; each cell's UE area is its
     reference disk restricted to where that BS is the nearest one."""
@@ -366,25 +370,11 @@ def gen_hotspot(spec: HotspotDropSpec) -> NetworkScenario:
         if all(math.hypot(cand.x - p.x, cand.y - p.y) >= spacing for p in positions):
             positions.append(cand)
 
-    cells = tuple(
-        Cell(
-            id=f"cell_{i:02d}",
-            bs=p,
-            region=_clipped_disk_region(i, positions, spec.radius_r),
-        )
-        for i, p in enumerate(positions)
-    )
+    cells = _disk_cells(positions, spec.radius_r)
     centroid = Point(w / 2, h / 2)
     victim = min(cells, key=lambda c: math.hypot(c.bs.x - centroid.x, c.bs.y - centroid.y))
-    scenario = NetworkScenario(
-        cells=cells,
-        victim_cell_id=victim.id,
-        channel=DEFAULT_CHANNEL,
-        power=DEFAULT_POWER,
-        metadata=dict(generator="hotspot", seed=str(spec.seed),
-                      radius_km=str(spec.radius_r)),
-    )
-    return _validate(scenario)
+    return _network(cells, victim.id, generator="hotspot", seed=str(spec.seed),
+                    radius_km=str(spec.radius_r))
 
 
 def gen_hex_grid(n_rings: int, pitch: float, r: float) -> NetworkScenario:
@@ -401,15 +391,5 @@ def gen_hex_grid(n_rings: int, pitch: float, r: float) -> NetworkScenario:
             x = pitch * (q + s / 2.0)
             y = pitch * s * math.sqrt(3.0) / 2.0
             positions.append(Point(x, y))
-    cells = tuple(
-        Cell(id=f"cell_{i:02d}", bs=p, region=_clipped_disk_region(i, positions, r))
-        for i, p in enumerate(positions)
-    )
-    scenario = NetworkScenario(
-        cells=cells,
-        victim_cell_id="cell_00",
-        channel=DEFAULT_CHANNEL,
-        power=DEFAULT_POWER,
-        metadata=dict(generator="hex_grid", pitch_km=str(pitch), radius_km=str(r)),
-    )
-    return _validate(scenario)
+    return _network(_disk_cells(positions, r), "cell_00", generator="hex_grid",
+                    pitch_km=str(pitch), radius_km=str(r))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import channel, geometry
-from .distribution import DBM, EmpiricalDistribution
+from .distribution import EmpiricalDistribution
 from .errors import EmptyRegionError, SchemaError, ValidationError
 from .streams import substream
 
@@ -114,14 +114,13 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
     aggregate = np.empty(n)
     per_cell = {c.id: np.empty(n) for c in interferers} if cfg.record_per_cell else None
 
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
+    # With one thread the blocks run on the calling thread, the only one the
+    # benchmark's tracer records; the pool then starts no worker.
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        run = pool.map if cfg.threads > 1 else map
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            if pool is not None:
-                blocks = list(pool.map(lambda sm: sm.draw_block(m), samplers))
-            else:
-                blocks = [sm.draw_block(m) for sm in samplers]
+            blocks = list(run(lambda sm: sm.draw_block(m), samplers))
             # Aggregate in the log domain (natural log of mW), reduced in fixed
             # cell order; logaddexp keeps large dB values from overflowing.
             acc = blocks[0] * (_LN10 / 10.0)
@@ -131,17 +130,14 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
             if per_cell is not None:
                 for cell, block in zip(interferers, blocks):
                     per_cell[cell.id][start : start + m] = block
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     result_per_cell = None
     if per_cell is not None:
         result_per_cell = {
-            cid: EmpiricalDistribution.from_samples(v, DBM) for cid, v in per_cell.items()
+            cid: EmpiricalDistribution.from_samples(v) for cid, v in per_cell.items()
         }
     return SimResult(
-        aggregate_dbm=EmpiricalDistribution.from_samples(aggregate, DBM),
+        aggregate_dbm=EmpiricalDistribution.from_samples(aggregate),
         per_cell_db=result_per_cell,
     )
 
@@ -158,7 +154,7 @@ def simulate_shadow_fading_product(
     rng_h = substream(seed, 0, _TAG_FADING)
     s = math.sqrt(sigma_s_sq) * _standard_normal(rng_s, n)
     h = _exponential(rng_h, n)
-    return EmpiricalDistribution.from_samples(s + 10.0 * np.log10(h), DBM)
+    return EmpiricalDistribution.from_samples(s + 10.0 * np.log10(h))
 
 
 def write_samples(path, dist: EmpiricalDistribution) -> None:
@@ -182,4 +178,4 @@ def read_samples(path) -> EmpiricalDistribution:
         raise SchemaError(f"{path}: declared {count} samples, found {len(data)}")
     if not np.isfinite(data).all():
         raise SchemaError(f"{path}: non-finite sample value")
-    return EmpiricalDistribution.from_samples(data, DBM)
+    return EmpiricalDistribution.from_samples(data)

@@ -125,8 +125,17 @@ class TestAnalyze:
         assert "converged=false" in capsys.readouterr().out.splitlines()
         # Newton stalls here; the stall stop ends it long before 60 iterations.
         assert int(read_rows(tmp_path / "ana" / "fit.csv")[0]["iterations"]) <= 10
-        # The solver's last iterate matches no MGF, so it gets no CDF.
+        # The solver's last iterate matches no MGF, so it gets no CDF and
+        # compare refuses to score it.
         assert not (tmp_path / "ana" / "analytic_cdf.csv").exists()
+        dump = tmp_path / "samples.bin"
+        write_samples(dump, EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0]))
+        assert run("compare", "--fit", tmp_path / "ana" / "fit.csv", "--samples", dump,
+                   "--out", tmp_path / "cmp") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ulik: error: {tmp_path / 'ana' / 'fit.csv'}: ")
+        assert "converge" in err
+        assert not (tmp_path / "cmp").exists()
 
     def test_seed_has_no_effect(self, tmp_path, b2_scenario):
         for seed in (1, 2):
@@ -197,11 +206,13 @@ class TestCompare:
         assert run("analyze", b2_scenario, "--samples", 100_000, "--seed", 1,
                    "--out", ana) == 0
         assert run("simulate", b2_scenario, "--samples", 100_000, "--seed", 9,
-                   "--raw", "--out", sim) == 0
+                   "--raw", "--per-cell", "--out", sim) == 0
         capsys.readouterr()
         assert run("compare", "--fit", ana / "fit.csv", "--report", ana / "report.csv",
-                   "--samples", sim / "samples.bin", "--out", cmp_out) == 0
+                   "--samples", sim / "samples.bin", "--per-cell-dir", sim,
+                   "--out", cmp_out) == 0
         out = capsys.readouterr().out
+        assert any(l.startswith("KS_percell_max=") for l in out.splitlines())
         line = next(l for l in out.splitlines() if l.startswith("KS_aggregate="))
         assert float(line.split("=")[1]) <= 0.02
 
@@ -211,8 +222,7 @@ class TestCompare:
         fit.write_text("scenario_id,s1,s2,m0,mu_q,var_q,residual1,residual2,iterations,"
                        "converged\nx,1.0,0.1,12,-80.0,0.0,0.0,0.0,0,True\n")
         dump = tmp_path / "samples.bin"
-        write_samples(dump, EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0, -78.0],
-                                                               "dbm"))
+        write_samples(dump, EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0, -78.0]))
         assert run("compare", "--fit", fit, "--samples", dump, "--out", tmp_path / "cmp") == 0
         line = next(l for l in capsys.readouterr().out.splitlines()
                     if l.startswith("KS_aggregate="))
@@ -221,6 +231,16 @@ class TestCompare:
 
     FIT_HEADER = "scenario_id,s1,s2,m0,mu_q,var_q,residual1,residual2,iterations,converged\n"
     GOOD_FIT = "x,1.0,0.1,12,-80.0,4.0,0.0,0.0,3,True\n"
+
+    @pytest.mark.parametrize("flag", ["--report", "--per-cell-dir"])
+    def test_per_cell_flags_go_together(self, tmp_path, capsys, flag):
+        fit, dump = tmp_path / "fit.csv", tmp_path / "s.bin"
+        fit.write_text(self.FIT_HEADER + self.GOOD_FIT)
+        write_samples(dump, EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0]))
+        assert run("compare", "--fit", fit, "--samples", dump, flag, tmp_path,
+                   "--out", tmp_path / "cmp") == 2
+        assert capsys.readouterr().err.startswith("ulik: error: --report and --per-cell-dir")
+        assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("fit_text, report_text, dump_bytes, message", [
         ("scenario_id,var_q\nx,4.0\n", None, None, "'mu_q'"),
@@ -237,7 +257,7 @@ class TestCompare:
             "report_no_cell_id", "dump_short_header", "dump_partial_value", "dump_inf_value"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, fit_text, report_text,
                                      dump_bytes, message):
-        good = EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0], "dbm")
+        good = EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0])
         fit, report, dump = tmp_path / "fit.csv", tmp_path / "report.csv", tmp_path / "s.bin"
         fit.write_text(fit_text)
         write_samples(dump, good)

@@ -11,7 +11,7 @@ from ulik.distribution import (
     LognormalDist,
     ks_distance,
 )
-from ulik.errors import DomainMismatchError, NonpositiveValueError, ValidationError
+from ulik.errors import NonpositiveValueError, ValidationError
 from ulik.gaussian_approx import GaussianApprox
 
 ZETA = 10.0 / math.log(10.0)
@@ -89,7 +89,6 @@ class TestGaussianDb:
 
     def test_is_the_component_type(self):
         assert GaussianDb is GaussianApprox
-        assert GaussianApprox(-80.0, 4.0).domain == "dbm"
 
     def test_zero_variance_is_a_right_continuous_step(self):
         g = GaussianDb(-80.0, 0.0)
@@ -106,41 +105,39 @@ class TestGaussianDb:
 class TestEmpirical:
     def test_sorted_required(self):
         with pytest.raises(ValidationError):
-            EmpiricalDistribution(np.array([1.0, 0.0]), "dbm")
+            EmpiricalDistribution(np.array([1.0, 0.0]))
 
     def test_from_samples_sorts(self):
-        e = EmpiricalDistribution.from_samples([3.0, -1.0, 2.0], "dbm")
+        e = EmpiricalDistribution.from_samples([3.0, -1.0, 2.0])
         np.testing.assert_array_equal(e.samples, [-1.0, 2.0, 3.0])
         assert e.count == 3
 
     def test_quantiles(self):
-        e = EmpiricalDistribution.from_samples(np.arange(101, dtype=float), "dbm")
+        e = EmpiricalDistribution.from_samples(np.arange(101, dtype=float))
         assert e.quantile(0.5) == pytest.approx(50.0)
 
 
 class TestKsDistance:
     def test_self_distance_zero(self):
-        e = EmpiricalDistribution.from_samples(np.random.default_rng(0).normal(size=1000), "dbm")
+        e = EmpiricalDistribution.from_samples(np.random.default_rng(0).normal(size=1000))
         assert ks_distance(e, e) == 0.0
 
     def test_two_samples_closed_form(self):
         # Shifting 100 distinct points by 30 of their spacings moves 30% of
         # the mass; with ties, the sup sits between a's last point and b's.
-        a = EmpiricalDistribution.from_samples(np.arange(100.0), "dbm")
-        b = EmpiricalDistribution.from_samples(np.arange(100.0) + 30.0, "dbm")
+        a = EmpiricalDistribution.from_samples(np.arange(100.0))
+        b = EmpiricalDistribution.from_samples(np.arange(100.0) + 30.0)
         assert ks_distance(a, b) == pytest.approx(0.3, abs=1e-15)
         assert ks_distance(b, a) == pytest.approx(0.3, abs=1e-15)
-        c = EmpiricalDistribution.from_samples([1.0, 2.0, 2.0, 3.0], "dbm")
-        d = EmpiricalDistribution.from_samples([2.0, 4.0], "dbm")
+        c = EmpiricalDistribution.from_samples([1.0, 2.0, 2.0, 3.0])
+        d = EmpiricalDistribution.from_samples([2.0, 4.0])
         assert ks_distance(c, d) == 0.5
         assert ks_distance(d, c) == 0.5
 
     def test_point_mass(self):
-        e = EmpiricalDistribution.from_samples([2.0] * 50, "dbm")
+        e = EmpiricalDistribution.from_samples([2.0] * 50)
 
         class StepAtTwo:
-            domain = "dbm"
-
             def cdf(self, x):
                 return (np.asarray(x, dtype=float) >= 2.0).astype(float)
 
@@ -148,15 +145,10 @@ class TestKsDistance:
 
     def test_dkw_bound(self):
         samples = np.random.default_rng(7).normal(size=1_000_000)
-        e = EmpiricalDistribution.from_samples(samples, "dbm")
+        e = EmpiricalDistribution.from_samples(samples)
         assert ks_distance(e, GaussianDb(0.0, 1.0)) <= 0.002
-
-    def test_domain_mismatch(self):
-        e = EmpiricalDistribution.from_samples([1.0, 2.0], "mw")
-        with pytest.raises(DomainMismatchError):
-            ks_distance(e, GaussianDb(0.0, 1.0))
 
     def test_detects_mean_offset(self):
         samples = np.random.default_rng(1).normal(size=20_000)
-        e = EmpiricalDistribution.from_samples(samples, "dbm")
+        e = EmpiricalDistribution.from_samples(samples)
         assert ks_distance(e, GaussianDb(0.5, 1.0)) > 0.15

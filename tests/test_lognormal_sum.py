@@ -121,8 +121,10 @@ class TestFitSum:
         assert fit.var_q == pytest.approx(205.25, abs=1e-6)
 
     def test_two_constants(self):
+        # The Fenton-Wilkinson seed is already the exact point-mass fit.
         fit = fit_sum([GaussianApprox(-76.0, 0.0)] * 2)
         assert fit.converged
+        assert fit.iterations == 0
         assert fit.mu_q == pytest.approx(-76.0 + 10 * math.log10(2), abs=1e-9)
         assert fit.var_q == 0.0
 

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from ulik.channel import combined_shadow_stats
+from ulik.errors import ValidationError
 from ulik.gaussian_approx import (
     interferer_gaussian,
     lognormal_exp_gaussian,
@@ -33,3 +36,9 @@ def test_matches_the_chain_step_by_step(scenario):
         comps.append(got.component)
     assert result.fit == fit_sum(comps, s1=2.0, s2=0.5, rule=gh_rule(20),
                                  ref_dbm=sc.power.p0_dbm)
+
+
+def test_missing_victim_is_a_validation_error(scenario):
+    sc = dataclasses.replace(scenario, victim_cell_id="absent")
+    with pytest.raises(ValidationError, match="no cell with id 'absent'"):
+        analyze(sc, 2_000)
