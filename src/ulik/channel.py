@@ -41,14 +41,13 @@ class PowerControl:
             raise ValidationError(f"FPC factor must be in (0, 1], got {self.eta}")
 
 
-def interference_db(pc: PowerControl, params: ChannelParams, xs, ys, own_bs, victim_bs,
-                    s_own, s_vic, h):
+def interference_db(pc: PowerControl, params: ChannelParams, xs, ys, own_bs, victim_bs, s, h):
     """Received interference power in dBm at the victim BS from a UE at (xs, ys)
-    served by own_bs: P0 + L + (eta*s_own - s_vic) + 10*log10(h).
+    served by own_bs: P0 + L + s + 10*log10(h).
 
     L is gaussian_approx.pathloss_difference, the variable whose moments the
-    analysis integrates; s_* are the shadowing realizations in dB and h the
-    effective (linear) fading gain.
+    analysis integrates; s is the combined shadowing eta*S_own - S_victim in
+    dB (see combined_shadow_stats) and h the effective (linear) fading gain.
     """
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0):
@@ -56,7 +55,7 @@ def interference_db(pc: PowerControl, params: ChannelParams, xs, ys, own_bs, vic
     out = (
         pc.p0_dbm
         + pathloss_difference(xs, ys, own_bs, victim_bs, params, pc)
-        + (pc.eta * np.asarray(s_own) - np.asarray(s_vic))
+        + np.asarray(s)
         + 10.0 * np.log10(h)
     )
     return float(out) if np.ndim(out) == 0 else out

@@ -85,8 +85,11 @@ def ks_distance(a: EmpiricalDistribution, b) -> float:
     """
     n = a.count
     fb = np.asarray(b.cdf(a.samples), dtype=float)
-    # Left limits of b let CDFs with jumps (e.g. point masses) compare exactly.
-    fb_left = np.asarray(b.cdf(np.nextafter(a.samples, -np.inf)), dtype=float)
+    if isinstance(b, GaussianApprox) and b.variance > 0:
+        fb_left = fb  # a continuous b: its left limits are its values
+    else:
+        # Left limits of b let CDFs with jumps (e.g. point masses) compare exactly.
+        fb_left = np.asarray(b.cdf(np.nextafter(a.samples, -np.inf)), dtype=float)
     upper = np.arange(1, n + 1) / n - fb
     lower = fb_left - np.arange(0, n) / n
     return float(max(upper.max(), lower.max(), 0.0))

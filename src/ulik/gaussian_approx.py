@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, ndtri
 
 from . import geometry
 from .errors import DegenerateGeometryError, ValidationError, ZeroVarianceError
@@ -50,12 +49,17 @@ class GaussianApprox:
         """Gaussian CDF; at variance 0 the right-continuous step at the mean."""
         x = np.asarray(x, dtype=float)
         if self.variance > 0:
+            # Imported here, so that `gen` and `simulate` never load scipy.
+            from scipy.special import erf
+
             out = 0.5 + 0.5 * erf((x - self.mean) / math.sqrt(2.0 * self.variance))
         else:
             out = (x >= self.mean).astype(float)
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p: float) -> float:
+        from scipy.special import ndtri
+
         return self.mean + math.sqrt(self.variance) * float(ndtri(p))
 
 
@@ -106,13 +110,16 @@ def lognormal_exp_gaussian(s_stats: GaussianApprox) -> GaussianApprox:
 def pathloss_difference(xs, ys, own_bs, victim_bs, params, pc):
     """The path-loss difference L = (eta-1)*A + alpha*log10(d_own^eta / d_victim)
     in dB, the one kernel behind both the region moments and the simulator's
-    channel.interference_db."""
-    d_own = np.hypot(xs - own_bs.x, ys - own_bs.y)
-    d_vic = np.hypot(xs - victim_bs.x, ys - victim_bs.y)
-    if np.any(d_own <= 0) or np.any(d_vic <= 0):
+    channel.interference_db.  It is formed from squared distances,
+    alpha*log10(d) = (alpha/2)*log10(d^2), which needs no square root."""
+    dx, dy = xs - own_bs.x, ys - own_bs.y
+    d2_own = dx * dx + dy * dy
+    dx, dy = xs - victim_bs.x, ys - victim_bs.y
+    d2_vic = dx * dx + dy * dy
+    if np.any(d2_own <= 0) or np.any(d2_vic <= 0):
         raise DegenerateGeometryError("sampled UE position coincides with a BS")
-    return (pc.eta - 1.0) * params.a_db + params.alpha * (
-        pc.eta * np.log10(d_own) - np.log10(d_vic)
+    return (pc.eta - 1.0) * params.a_db + (0.5 * params.alpha) * (
+        pc.eta * np.log10(d2_own) - np.log10(d2_vic)
     )
 
 

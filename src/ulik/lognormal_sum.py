@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidDesignPointsError, UnsupportedOrderError, ValidationError
 from .gaussian_approx import GaussianApprox
@@ -55,6 +54,17 @@ def gh_rule(m0: int) -> GaussHermiteRule:
     return GaussHermiteRule(order=m0, abscissas=a, weights=w)
 
 
+def _logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) along axis, shifted by the largest term; -inf when
+    every term is -inf."""
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 def _log_mgf(mu, var, s, rule: GaussHermiteRule):
     """log of the GH-approximated MGF of the lognormal 10^(X/10), X ~ N(mu, var),
     and its derivatives with respect to mu and log sigma.
@@ -63,7 +73,7 @@ def _log_mgf(mu, var, s, rule: GaussHermiteRule):
     axis, so one call evaluates every component at every design point.  When
     the MGF is close to 1 (weak components, the interesting regime for
     dense-network sums) log(MGF) is of order -s*E[X] and must keep full
-    relative precision, so it is formed with expm1/log1p; logsumexp takes
+    relative precision, so it is formed with expm1/log1p; _logsumexp takes
     over below 1/2, where MGF - 1 is clamped so that log1p never sees -1.  The
     derivatives weight each node by its share of the MGF, a softmax of the
     log terms formed in the log domain, so a node whose power overflows
@@ -76,7 +86,7 @@ def _log_mgf(mu, var, s, rule: GaussHermiteRule):
         sz = s * np.exp(log_z)
     t = np.expm1(-sz) @ rule.weights / math.sqrt(math.pi)
     log_terms = np.log(rule.weights / math.sqrt(math.pi)) - sz
-    lse = logsumexp(log_terms, axis=-1, keepdims=True)
+    lse = _logsumexp(log_terms, axis=-1, keepdims=True)
     value = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)), lse[..., 0])
     # d log MGF / d log z_i = -(share of node i) * s * z_i; d log z_i / d mu = 1 / ZETA
     d = -np.exp(np.log(s) + log_z + log_terms - lse) / ZETA
@@ -147,7 +157,7 @@ def fit_sum(
     if ref_dbm is not None:
         ref = float(ref_dbm)
     else:
-        ref = ZETA * logsumexp(mus / ZETA + vs / (2 * ZETA**2))
+        ref = ZETA * _logsumexp(mus / ZETA + vs / (2 * ZETA**2))
     mus -= ref
     # Product of component MGFs, accumulated in the log domain.
     targets = _log_mgf(mus[:, None], vs[:, None], s_points, rule)[0].sum(axis=0)

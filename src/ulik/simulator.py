@@ -1,9 +1,12 @@
 """Monte Carlo oracle for the full generative interference model: uniform UE
 positions, shadowing, exp(1) effective fading and FPC transmit power.
 
-Per-cell variates come from counter-based substreams keyed by
-(seed, cell index, variate kind), so results are bit-identical for a fixed
-(seed, n_samples) regardless of worker count.
+The two shadowing terms of a link pair enter only as eta*S_own - S_victim,
+so each realization draws that combination once, as one normal of variance
+(1 + eta^2)*sigma^2.  Per-cell variates come from counter-based substreams
+keyed by (seed, cell index, variate kind), and the cells' linear powers are
+summed in fixed cell order, so results are bit-identical for a fixed
+(seed, n_samples) regardless of worker count.  Only numpy is needed.
 """
 
 import math
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import channel, geometry
 from .distribution import EmpiricalDistribution
@@ -25,8 +27,7 @@ _BLOCK = 1 << 17  # realizations per block; fixed so results never depend on it
 _MIN_FADING = 2.0**-54
 
 _TAG_POS = 0
-_TAG_S_OWN = 1
-_TAG_S_VICTIM = 2
+_TAG_SHADOW = 1
 _TAG_FADING = 3
 
 SAMPLE_DUMP_MAGIC = b"ULIKSMP1"
@@ -52,12 +53,6 @@ class SimResult:
     per_cell_db: dict | None = None
 
 
-def _standard_normal(rng, n):
-    # Inversion instead of ziggurat: identical draws on every platform.
-    u = rng.random(n)
-    return ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
-
-
 def _exponential(rng, n):
     # u = 0 would give h = 0.  The floor is below -log1p(-2**-53), the gain of
     # the smallest nonzero draw, so every u > 0 keeps its exact value.
@@ -73,9 +68,9 @@ class _CellSampler:
         self.victim_bs = victim_bs
         self.params = params
         self.pc = pc
+        self.shadow_sd = math.sqrt(channel.combined_shadow_stats(params, pc).variance)
         self.rng_pos = substream(seed, index, _TAG_POS)
-        self.rng_s_own = substream(seed, index, _TAG_S_OWN)
-        self.rng_s_vic = substream(seed, index, _TAG_S_VICTIM)
+        self.rng_s = substream(seed, index, _TAG_SHADOW)
         self.rng_h = substream(seed, index, _TAG_FADING)
 
     def draw_block(self, m: int) -> np.ndarray:
@@ -83,12 +78,10 @@ class _CellSampler:
             xs, ys = geometry.sample_uniform_xy(self.region, self.rng_pos, m)
         except EmptyRegionError as exc:
             raise EmptyRegionError(f"cell {self.cell.id!r}: {exc}") from exc
-        sigma = math.sqrt(self.params.sigma_shad_sq)
-        s_own = sigma * _standard_normal(self.rng_s_own, m)
-        s_vic = sigma * _standard_normal(self.rng_s_vic, m)
+        s = self.shadow_sd * self.rng_s.standard_normal(m)
         h = _exponential(self.rng_h, m)
         return channel.interference_db(self.pc, self.params, xs, ys, self.cell.bs,
-                                       self.victim_bs, s_own, s_vic, h)
+                                       self.victim_bs, s, h)
 
 
 def simulate(scenario, cfg: SimConfig) -> SimResult:
@@ -111,25 +104,38 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
     ]
 
     n = cfg.n_samples
+    p0 = scenario.power.p0_dbm
     aggregate = np.empty(n)
     per_cell = {c.id: np.empty(n) for c in interferers} if cfg.record_per_cell else None
 
+    def linear_power(sampler, start, m):
+        # 10^((x - P0)/10) of the cell's block x, formed in place; P0 is the
+        # receive level a link with L = 0 and no shadowing or fading reaches.
+        x = sampler.draw_block(m)
+        if per_cell is not None:
+            per_cell[sampler.cell.id][start : start + m] = x
+        x -= p0
+        x *= _LN10 / 10.0
+        return np.exp(x, out=x)
+
     # With one thread the blocks run on the calling thread, the only one the
-    # benchmark's tracer records; the pool then starts no worker.
+    # benchmark's tracer records; the pool then starts no worker, and map
+    # draws each cell's block only when the sum below reaches it.
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         run = pool.map if cfg.threads > 1 else map
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            blocks = list(run(lambda sm: sm.draw_block(m), samplers))
-            # Aggregate in the log domain (natural log of mW), reduced in fixed
-            # cell order; logaddexp keeps large dB values from overflowing.
-            acc = blocks[0] * (_LN10 / 10.0)
-            for block in blocks[1:]:
-                acc = np.logaddexp(acc, block * (_LN10 / 10.0))
-            aggregate[start : start + m] = acc * (10.0 / _LN10)
-            if per_cell is not None:
-                for cell, block in zip(interferers, blocks):
-                    per_cell[cell.id][start : start + m] = block
+            terms = run(lambda sm: linear_power(sm, start, m), samplers)
+            # Summed in fixed cell order, then one log.
+            total = next(terms)
+            for term in terms:
+                total += term
+            with np.errstate(divide="ignore", over="ignore"):
+                block = p0 + 10.0 * np.log10(total)
+            if not np.isfinite(block).all():
+                raise ValidationError("aggregate interference leaves the floating-point "
+                                      "range around the power basis P0")
+            aggregate[start : start + m] = block
 
     result_per_cell = None
     if per_cell is not None:
@@ -150,9 +156,9 @@ def simulate_shadow_fading_product(
     Validates the fixed-offset Gaussian surrogate for the lognormal-times-
     exponential product.
     """
-    rng_s = substream(seed, 0, _TAG_S_OWN)
+    rng_s = substream(seed, 0, _TAG_SHADOW)
     rng_h = substream(seed, 0, _TAG_FADING)
-    s = math.sqrt(sigma_s_sq) * _standard_normal(rng_s, n)
+    s = math.sqrt(sigma_s_sq) * rng_s.standard_normal(n)
     h = _exponential(rng_h, n)
     return EmpiricalDistribution.from_samples(s + 10.0 * np.log10(h))
 

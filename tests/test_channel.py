@@ -65,20 +65,33 @@ class TestPathLoss:
             rtol=1e-15)
 
 
-def interference(pc, params, d_bb, d_b1, s_bb, s_b1, h_b1):
-    """interference_db for a UE at distance d_bb from its BS and d_b1 from the victim."""
-    return interference_db(pc, params, UE.x, UE.y, at(d_bb), at(d_b1, 2.0), s_bb, s_b1, h_b1)
+    def test_matches_hypot_form(self, params, pc):
+        # The kernel works on squared distances; the square-root form agrees.
+        xs, ys = np.random.default_rng(4).uniform(-0.5, 0.5, (2, 10_000))
+        own, victim = Point(0.013, -0.02), Point(-0.1, 0.07)
+        d_own, d_vic = np.hypot(xs - own.x, ys - own.y), np.hypot(xs - victim.x, ys - victim.y)
+        want = (pc.eta - 1.0) * params.a_db + params.alpha * (
+            pc.eta * np.log10(d_own) - np.log10(d_vic))
+        np.testing.assert_allclose(pathloss_difference(xs, ys, own, victim, params, pc), want,
+                                   rtol=0, atol=1e-12)
+
+
+def interference(pc, params, d_bb, d_b1, s, h_b1):
+    """interference_db for a UE at distance d_bb from its BS and d_b1 from the
+    victim, with combined shadowing s = eta*S_bb - S_b1 dB."""
+    return interference_db(pc, params, UE.x, UE.y, at(d_bb), at(d_b1, 2.0), s, h_b1)
 
 
 class TestTxPower:
     """Fractional power control as it enters the interference: with unit
-    fading, no victim shadowing and the victim-link loss added back, what is
-    left is the UE transmit power P0 + eta * (L_bb + S_bb)."""
+    fading, no victim shadowing (so the combined shadowing is eta * S_bb) and
+    the victim-link loss added back, what is left is the UE transmit power
+    P0 + eta * (L_bb + S_bb)."""
 
     @staticmethod
     def tx_power(pc, params, l_bb, s_bb):
         d_bb = 10 ** ((l_bb - params.a_db) / params.alpha)
-        return interference(pc, params, d_bb, 1.0, s_bb, 0.0, 1.0) + params.a_db
+        return interference(pc, params, d_bb, 1.0, pc.eta * s_bb, 1.0) + params.a_db
 
     def test_fpc(self, params, pc):
         assert self.tx_power(pc, params, 80.0, 0.0) == pytest.approx(-12.0)
@@ -94,24 +107,25 @@ class TestTxPower:
 class TestInterferenceDb:
     def test_full_compensation_gives_p0(self, params):
         pc = PowerControl(-76.0, 1.0)
-        v = interference(pc, params, d_bb=0.02, d_b1=0.02, s_bb=0.0, s_b1=0.0, h_b1=1.0)
+        v = interference(pc, params, d_bb=0.02, d_b1=0.02, s=0.0, h_b1=1.0)
         assert v == pytest.approx(-76.0)
 
     def test_partial_compensation(self, params, pc):
-        v = interference(pc, params, d_bb=0.01, d_b1=0.015, s_bb=0.0, s_b1=0.0, h_b1=1.0)
+        v = interference(pc, params, d_bb=0.01, d_b1=0.015, s=0.0, h_b1=1.0)
         expected = -76.0 + (0.8 * path_loss(params, 0.01) - path_loss(params, 0.015))
         assert v == pytest.approx(expected)
         assert v == pytest.approx(-92.08, abs=0.005)
 
     def test_fading_adds_in_db(self, params, pc):
-        kw = dict(d_bb=0.01, d_b1=0.02, s_bb=1.0, s_b1=-2.0)
+        kw = dict(d_bb=0.01, d_b1=0.02, s=2.8)
         assert interference(pc, params, h_b1=10.0, **kw) == pytest.approx(
             interference(pc, params, h_b1=1.0, **kw) + 10.0
         )
 
     def test_unit_fading_identity(self, params, pc):
-        # Eq-level identity: I(h=1) = tx power - path loss to victim - victim shadowing
-        v = interference(pc, params, d_bb=0.012, d_b1=0.03, s_bb=3.0, s_b1=-1.5, h_b1=1.0)
+        # Eq-level identity: I(h=1) = tx power - path loss to victim - victim shadowing,
+        # with S_bb = 3 and S_b1 = -1.5 combined into eta*S_bb - S_b1.
+        v = interference(pc, params, d_bb=0.012, d_b1=0.03, s=pc.eta * 3.0 + 1.5, h_b1=1.0)
         tx = pc.p0_dbm + pc.eta * (path_loss(params, 0.012) + 3.0)
         expected = tx - path_loss(params, 0.03) + 1.5
         assert v == pytest.approx(expected, abs=1e-12)
@@ -119,26 +133,26 @@ class TestInterferenceDb:
     def test_is_p0_plus_kernel(self, params, pc):
         xs, ys = np.array([0.001, -0.004]), np.array([0.002, 0.003])
         own, victim = Point(0.005, 0.0), Point(-0.02, 0.01)
-        s_own, s_vic, h = np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([0.3, 2.0])
+        s, h = np.array([0.3, -5.0]), np.array([0.3, 2.0])
         np.testing.assert_array_equal(
-            interference_db(pc, params, xs, ys, own, victim, s_own, s_vic, h),
+            interference_db(pc, params, xs, ys, own, victim, s, h),
             pc.p0_dbm + pathloss_difference(xs, ys, own, victim, params, pc)
-            + (pc.eta * s_own - s_vic) + 10.0 * np.log10(h))
+            + s + 10.0 * np.log10(h))
 
     @given(st.floats(0.005, 0.1), st.floats(0.005, 0.1))
     def test_monotone_decreasing_in_victim_distance(self, a, b):
         params = ChannelParams(103.8, 20.9, 100.0)
         pc = PowerControl(-76.0, 0.8)
         lo, hi = sorted((a, b))
-        near = interference(pc, params, 0.01, lo, 0.0, 0.0, 1.0)
-        far = interference(pc, params, 0.01, hi, 0.0, 0.0, 1.0)
+        near = interference(pc, params, 0.01, lo, 0.0, 1.0)
+        far = interference(pc, params, 0.01, hi, 0.0, 1.0)
         assert near >= far
 
     def test_errors(self, params, pc):
         with pytest.raises(DegenerateGeometryError):
-            interference_db(pc, params, UE.x, UE.y, UE, at(0.01), 0.0, 0.0, 1.0)
+            interference_db(pc, params, UE.x, UE.y, UE, at(0.01), 0.0, 1.0)
         with pytest.raises(NonpositiveFadingError):
-            interference(pc, params, 0.01, 0.01, 0.0, 0.0, 0.0)
+            interference(pc, params, 0.01, 0.01, 0.0, 0.0)
 
 
 class TestCombinedShadowStats:
@@ -154,6 +168,13 @@ class TestCombinedShadowStats:
     def test_eta_05(self):
         g = combined_shadow_stats(ChannelParams(103.8, 20.9, 64.0), PowerControl(-76.0, 0.5))
         assert g.variance == pytest.approx(80.0)
+
+    @given(st.floats(0.01, 1.0), st.floats(0.0, 200.0))
+    def test_own_shadowing_compensated(self, eta, sigma_sq):
+        # eta*S_bb - S_b1 with independent S ~ N(0, sigma^2): the own link's
+        # term enters scaled by eta, the victim's in full.
+        g = combined_shadow_stats(ChannelParams(103.8, 20.9, sigma_sq), PowerControl(-76.0, eta))
+        assert g.variance == pytest.approx(eta**2 * sigma_sq + sigma_sq, rel=1e-14)
 
     @given(st.floats(0.01, 1.0))
     def test_variance_window(self, eta):

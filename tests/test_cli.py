@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ulik
 from ulik.cli import main
 from ulik.distribution import EmpiricalDistribution
 from ulik.geometry import Difference, Disk, Point
@@ -54,6 +59,33 @@ class TestGen:
         out = tmp_path / "hex.json"
         assert run("gen", "hex", "--rings", 1, "--pitch", 0.05, "--r", 0.02, "-o", out) == 0
         assert len(json.loads(out.read_text())["cells"]) == 7
+
+
+class TestStartup:
+    def test_gen_and_simulate_load_no_scipy(self, tmp_path):
+        # gen and simulate need numpy only; scipy comes with the first
+        # Gaussian CDF, which analyze and compare evaluate.
+        script = (
+            "import sys\n"
+            "import ulik.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "out = sys.argv[1]\n"
+            "seen = {'import': scipy_modules()}\n"
+            "assert ulik.cli.main(['gen', 'hotspot', '--cells', '6', '--seed', '1',\n"
+            "                      '-o', out + '/hs.json']) == 0\n"
+            "seen['gen'] = scipy_modules()\n"
+            "assert ulik.cli.main(['simulate', out + '/hs.json', '--samples', '2000',\n"
+            "                      '--per-cell', '--raw', '--out', out + '/sim']) == 0\n"
+            "seen['simulate'] = scipy_modules()\n"
+            "print(seen)\n"
+        )
+        src = str(Path(ulik.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == str({"import": [], "gen": [], "simulate": []})
 
 
 # Each malformed variant of the two-cell scenario, keyed by the JSON path of its bad field.

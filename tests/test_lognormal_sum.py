@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ulik.errors import InvalidDesignPointsError, UlikError, UnsupportedOrderError
 from ulik.gaussian_approx import GaussianApprox
-from ulik.lognormal_sum import _log_mgf, fenton_wilkinson, fit_sum, gh_rule, lognormal_mgf
+from ulik.lognormal_sum import _log_mgf, _logsumexp, fenton_wilkinson, fit_sum, gh_rule, lognormal_mgf
 from ulik.pipeline import analyze
 from ulik.scenario_io import HotspotDropSpec, gen_hotspot
 
@@ -64,6 +64,27 @@ class TestLognormalMgf:
         rule = gh_rule(12)
         vals = [lognormal_mgf(mu, 36.0, 1.0, rule) for mu in np.linspace(-40.0, 10.0, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("axis, keepdims", [(None, False), (None, True), (0, False),
+                                                (0, True), (-1, False), (-1, True)])
+    def test_matches_scipy(self, axis, keepdims):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-500.0, 500.0, (7, 12))  # a spread of 10^3
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        a[3], a[:, 5] = -np.inf, -np.inf  # a row and a column of -inf only
+        with np.errstate(divide="ignore"):
+            want = logsumexp(a, axis=axis, keepdims=keepdims)
+        got = _logsumexp(a, axis=axis, keepdims=keepdims)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_all_minus_inf(self):
+        with np.errstate(divide="raise"):
+            assert _logsumexp(np.full(4, -np.inf)) == -np.inf
 
 
 class TestLogMgfKernel:

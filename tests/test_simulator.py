@@ -82,6 +82,43 @@ class TestSimulate:
         )
         assert (agg_mw >= max_cell_mw - 1e-30).all()
 
+    def test_linear_sum_matches_logaddexp(self, monkeypatch):
+        # Two blocks of three cells: each realization's aggregate against a
+        # logaddexp reduction of its cells' dB values and against its largest cell.
+        cells = (
+            Cell("c1", Point(0.0, 0.0), Disk(Point(0.004, 0.0), 0.002)),
+            Cell("c2", Point(0.03, 0.0), Disk(Point(0.025, 0.0), 0.005)),
+            Cell("c3", Point(-0.03, 0.01), Disk(Point(-0.025, 0.01), 0.005)),
+            Cell("c4", Point(0.2, -0.1), Disk(Point(0.2, -0.09), 0.005)),
+        )
+        sc = NetworkScenario(cells=cells, victim_cell_id="c1",
+                             channel=ChannelParams(103.8, 20.9, 100.0),
+                             power=PowerControl(-76.0, 0.8))
+        drawn = []
+        draw_block = simulator._CellSampler.draw_block
+
+        def recording(sampler, m):
+            x = draw_block(sampler, m)
+            drawn.append(x.copy())
+            return x
+
+        monkeypatch.setattr(simulator._CellSampler, "draw_block", recording)
+        n = simulator._BLOCK + 1000
+        res = simulate(sc, SimConfig(n_samples=n, seed=9))
+        assert len(drawn) == 6
+        x = np.stack([np.concatenate(drawn[j::3]) for j in range(3)])
+        scale = math.log(10.0) / 10.0
+        reference = np.logaddexp.reduce(x * scale, axis=0) / scale
+        agg = res.aggregate_dbm.samples
+        np.testing.assert_allclose(agg, np.sort(reference), rtol=0, atol=1e-12)
+        assert (agg >= np.sort(x.max(axis=0)) - 1e-12).all()
+
+    def test_aggregate_out_of_float_range_is_an_error(self):
+        # A shadowing spread of 10^4 dB puts 10^(x/10) beyond the float range.
+        sc = two_cell_scenario(sigma_shad_sq=1e8)
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="floating-point"):
+            simulate(sc, SimConfig(n_samples=100, seed=1))
+
     def test_bit_determinism(self):
         sc = two_cell_scenario()
         a = simulate(sc, SimConfig(n_samples=4000, seed=11))
@@ -145,8 +182,7 @@ class TestExponentialFading:
     def test_zero_draw_gives_positive_gain(self, params, pc):
         h = _exponential(FixedDraws(np.zeros(3)), 3)
         assert (h > 0).all()
-        v = interference_db(pc, params, 0.0, 0.0, Point(0.01, 0.0), Point(0.0, 0.02),
-                            0.0, 0.0, h)
+        v = interference_db(pc, params, 0.0, 0.0, Point(0.01, 0.0), Point(0.0, 0.02), 0.0, h)
         assert np.isfinite(v).all()
 
     def test_nonzero_draws_unchanged(self):
