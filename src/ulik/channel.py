@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveFadingError, ValidationError
+from .errors import ValidationError
 from .gaussian_approx import GaussianApprox, pathloss_difference
 
 
@@ -51,7 +51,7 @@ def interference_db(pc: PowerControl, params: ChannelParams, xs, ys, own_bs, vic
     """
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0):
-        raise NonpositiveFadingError("effective fading gain must be positive")
+        raise ValidationError("effective fading gain must be positive")
     out = (
         pc.p0_dbm
         + pathloss_difference(xs, ys, own_bs, victim_bs, params, pc)

@@ -139,8 +139,6 @@ def cmd_compare(args) -> int:
         raise ValidationError("--report and --per-cell-dir go together: "
                               "give both for per-cell KS, or neither")
     agg = simulator.read_samples(args.samples)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     if args.report is not None:
@@ -151,12 +149,15 @@ def cmd_compare(args) -> int:
                 raise SchemaError(f"{args.report}: line {line}: no 'cell_id' value")
             dump = per_cell_dir / f"cell_{cell_id}.bin"
             if not dump.exists():
-                continue
+                raise ValidationError(f"{dump}: no per-cell dump of cell {cell_id!r}; "
+                                      "run simulate with --per-cell")
             mu_qb, var_qb = (_field(args.report, line, row, c) for c in ("mu_qb", "var_qb"))
             ks = ks_distance(simulator.read_samples(dump), GaussianApprox(mu_qb, var_qb))
             rows.append([cell_id, ks])
 
     ks_agg = ks_distance(agg, GaussianApprox(mu_q, var_q))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "comparison.csv", ["cell_id", "ks"], rows + [["aggregate", ks_agg]])
     if rows:
         _emit("KS_percell_max", max(ks for _, ks in rows))
@@ -166,8 +167,7 @@ def cmd_compare(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "single":
-        scenario = scenario_io.gen_single_interferer(args.r, shape=args.shape,
-                                                     seed=args.seed)
+        scenario = scenario_io.gen_single_interferer(args.r, shape=args.shape)
     elif args.kind == "hotspot":
         spec = scenario_io.HotspotDropSpec(
             n_cells=args.cells, radius_r=args.r,
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     g1 = gsub.add_parser("single", help="single-interferer scenario")
     g1.add_argument("--r", type=float, required=True, help="reference radius, km")
     g1.add_argument("--shape", choices=["disk", "paper_irregular"], default="disk")
-    g1.add_argument("--seed", type=int, default=0)
     g1.add_argument("-o", "--out", required=True)
     g2 = gsub.add_parser("hotspot", help="random multi-cell hotspot drop")
     g2.add_argument("--cells", type=int, default=84)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveValueError, ValidationError
+from .errors import ValidationError
 from .gaussian_approx import GaussianApprox
 from .lognormal_sum import ZETA
 
@@ -33,7 +33,7 @@ class LognormalDist:
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
         if np.any(v <= 0):
-            raise NonpositiveValueError("lognormal density needs v > 0")
+            raise ValidationError("lognormal density needs v > 0")
         out = (
             ZETA
             / (v * math.sqrt(2.0 * math.pi * self.var_q))
@@ -44,7 +44,7 @@ class LognormalDist:
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
         if np.any(v <= 0):
-            raise NonpositiveValueError("lognormal CDF needs v > 0")
+            raise ValidationError("lognormal CDF needs v > 0")
         return GaussianApprox(self.mu_q, self.var_q).cdf(ZETA * np.log(v))
 
 

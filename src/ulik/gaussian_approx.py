@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DegenerateGeometryError, ValidationError, ZeroVarianceError
+from .errors import ValidationError
 
 BERRY_ESSEEN_C0 = 0.56
 # Gaussian surrogate for S + 10*log10(H), H ~ exp(1): shift the mean and
@@ -72,14 +72,17 @@ class RegionMoments:
     sample_count: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu_l, self.var_l, self.abs3_l))):
+            raise ValidationError(
+                f"moments must be finite, got ({self.mu_l}, {self.var_l}, {self.abs3_l})")
         if self.var_l < 0 or self.abs3_l < 0:
             raise ValidationError("moments must be nonnegative")
         # Lyapunov: E|X|^3 >= (E X^2)^(3/2); holds for the moments of any
         # positive weights, so for sample and quadrature moments alike.
-        if self.abs3_l < self.var_l**1.5 * (1 - 1e-9):
+        bound = self.var_l * math.sqrt(self.var_l)  # no OverflowError, unlike **1.5
+        if self.abs3_l < bound * (1 - 1e-9):
             raise ValidationError(
-                f"third absolute moment {self.abs3_l} violates the Lyapunov "
-                f"bound {self.var_l ** 1.5}"
+                f"third absolute moment {self.abs3_l} violates the Lyapunov bound {bound}"
             )
 
 
@@ -117,7 +120,7 @@ def pathloss_difference(xs, ys, own_bs, victim_bs, params, pc):
     dx, dy = xs - victim_bs.x, ys - victim_bs.y
     d2_vic = dx * dx + dy * dy
     if np.any(d2_own <= 0) or np.any(d2_vic <= 0):
-        raise DegenerateGeometryError("sampled UE position coincides with a BS")
+        raise ValidationError("sampled UE position coincides with a BS")
     return (pc.eta - 1.0) * params.a_db + (0.5 * params.alpha) * (
         pc.eta * np.log10(d2_own) - np.log10(d2_vic)
     )
@@ -182,8 +185,9 @@ def tau(
     approximation of the per-interferer dB interference."""
     denom_var = moments.var_l + g.variance
     if denom_var <= 0:
-        raise ZeroVarianceError("tau undefined: total variance is zero")
-    t = BERRY_ESSEEN_C0 * moments.abs3_l / denom_var**1.5
+        raise ValidationError("tau undefined: total variance is zero")
+    with np.errstate(over="ignore"):  # **1.5's bits, but inf (tau = 0), not OverflowError
+        t = float(BERRY_ESSEEN_C0 * moments.abs3_l / np.float64(denom_var) ** 1.5)
     return TauCertificate(tau=t, threshold=threshold, passes=t <= threshold)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegionError, ValidationError
+from .errors import ValidationError
 
 # Rejection sampling: give up once this many bounding-box draws were spent
 # while the running acceptance rate stays below ACCEPTANCE_FLOOR.
@@ -83,7 +83,9 @@ class Disk(Region):
             raise ValidationError(f"disk radius must be positive, got {self.radius}")
 
     def mask(self, xs, ys):
-        return (xs - self.center.x) ** 2 + (ys - self.center.y) ** 2 <= self.radius**2
+        with np.errstate(over="ignore"):  # radius**2's bits, but inf, not OverflowError
+            r2 = np.float64(self.radius) ** 2
+        return (xs - self.center.x) ** 2 + (ys - self.center.y) ** 2 <= r2
 
     def crossings(self, ox, oy, c, s):
         return _circle_roots(ox - self.center.x, oy - self.center.y, c, s, self.radius)
@@ -359,7 +361,7 @@ def _finite_box(region: Region):
     if not all(map(math.isfinite, (x0, y0, x1, y1))):
         raise ValidationError("region has an unbounded bounding box")
     if x1 < x0 or y1 < y0:
-        raise EmptyRegionError("region bounding box is empty")
+        raise ValidationError("region bounding box is empty")
     return box
 
 
@@ -425,7 +427,7 @@ def ray_segments(region: Region, origin: Point, panels: int):
     leaf crossing and at the farthest box corner; a piece is inside when the
     region's mask holds at its midpoint.  Returns (c, s, w, r0, r1), one
     entry per inside piece: the ray direction (c, s), its angle weight w and
-    the piece's radii r0 < r1.  Raises EmptyRegionError when no ray meets
+    the piece's radii r0 < r1.  Raises ValidationError when no ray meets
     the region.
     """
     (x0, y0), (x1, y1) = _finite_box(region)
@@ -448,7 +450,7 @@ def ray_segments(region: Region, origin: Point, panels: int):
     mid = 0.5 * (r0 + r1)
     inside = (r1 > r0) & region.mask(ox + mid * c[:, None], oy + mid * s[:, None])
     if not inside.any():
-        raise EmptyRegionError(f"no ray of {len(c)} from ({ox}, {oy}) meets the region")
+        raise ValidationError(f"no ray of {len(c)} from ({ox}, {oy}) meets the region")
     ray = np.nonzero(inside)[0]
     return c[ray], s[ray], w[ray], r0[inside], r1[inside]
 
@@ -479,7 +481,7 @@ def sample_uniform_xy(
     """Draw n i.i.d. points uniformly over the region, as coordinate arrays.
 
     Rejection sampling from the bounding box; deterministic for a given
-    generator state.  Raises EmptyRegionError when the acceptance rate stays
+    generator state.  Raises ValidationError when the acceptance rate stays
     below ACCEPTANCE_FLOOR after MAX_REJECTION_TRIALS box draws.
     """
     (x0, y0), (x1, y1) = _finite_box(region)
@@ -505,7 +507,7 @@ def sample_uniform_xy(
         if not got:
             floor = min(2 * floor, _BATCH)
         if trials >= MAX_REJECTION_TRIALS and got < trials * ACCEPTANCE_FLOOR:
-            raise EmptyRegionError(
+            raise ValidationError(
                 f"acceptance rate {got / trials:.2e} below {ACCEPTANCE_FLOOR} "
                 f"after {trials} trials; region is empty or too thin"
             )

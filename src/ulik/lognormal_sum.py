@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDesignPointsError, UnsupportedOrderError, ValidationError
+from .errors import ValidationError
 from .gaussian_approx import GaussianApprox
 
 ZETA = 10.0 / math.log(10.0)
@@ -46,11 +46,11 @@ class LognormalFit:
 def gh_rule(m0: int) -> GaussHermiteRule:
     """Physicists' Gauss-Hermite nodes and weights (weight function e^{-x^2})."""
     if not 2 <= m0 <= 64:
-        raise UnsupportedOrderError(f"Gauss-Hermite order must be in [2, 64], got {m0}")
+        raise ValidationError(f"Gauss-Hermite order must be in [2, 64], got {m0}")
     a, w = np.polynomial.hermite.hermgauss(m0)
     rt_pi = math.sqrt(math.pi)
     if abs(w.sum() - rt_pi) > 1e-12 or abs((w * a**2).sum() - rt_pi / 2) > 1e-12:
-        raise UnsupportedOrderError(f"Gauss-Hermite rule of order {m0} failed moment checks")
+        raise ValidationError(f"Gauss-Hermite rule of order {m0} failed moment checks")
     return GaussHermiteRule(order=m0, abscissas=a, weights=w)
 
 
@@ -96,7 +96,7 @@ def _log_mgf(mu, var, s, rule: GaussHermiteRule):
 def lognormal_mgf(mu: float, var: float, s: float, rule: GaussHermiteRule) -> float:
     """GH-approximated MGF evaluated at s > 0; exact exp(-s*10^(mu/10)) at var=0."""
     if s <= 0:
-        raise InvalidDesignPointsError(f"MGF design point must be positive, got {s}")
+        raise ValidationError(f"MGF design point must be positive, got {s}")
     if var < 0:
         raise ValidationError(f"variance must be nonnegative, got {var}")
     return math.exp(_log_mgf(mu, var, s, rule)[0])
@@ -110,8 +110,11 @@ def fenton_wilkinson(components: Sequence[GaussianApprox]) -> tuple[float, float
     m = np.exp(mus / ZETA + vs / (2 * ZETA**2))
     v = (np.exp(vs / ZETA**2) - 1.0) * np.exp(2 * mus / ZETA + vs / ZETA**2)
     m_tot = m.sum()
-    v_tot = v.sum()
-    var_q = ZETA**2 * math.log1p(v_tot / m_tot**2)
+    cv2 = v.sum() / m_tot**2  # squared coefficient of variation of the sum
+    if not (0 < m_tot < math.inf and 0 <= cv2 < math.inf):
+        raise ValidationError("no lognormal seed: the linear-domain mean and variance "
+                              "of the components leave the floating-point range")
+    var_q = ZETA**2 * math.log1p(cv2)
     mu_q = ZETA * math.log(m_tot) - var_q / (2 * ZETA)
     return mu_q, var_q
 
@@ -144,7 +147,7 @@ def fit_sum(
     if not components:
         raise ValidationError("need at least one component")
     if not 0 < s2 < s1:
-        raise InvalidDesignPointsError(f"need 0 < s2 < s1, got s1={s1}, s2={s2}")
+        raise ValidationError(f"need 0 < s2 < s1, got s1={s1}, s2={s2}")
     if rule is None:
         rule = gh_rule(12)
     s_points = np.array([s1, s2])

@@ -4,7 +4,7 @@
 from dataclasses import dataclass
 
 from . import channel, gaussian_approx, lognormal_sum
-from .errors import EmptyRegionError
+from .errors import ValidationError
 from .gaussian_approx import GaussianApprox, RegionMoments, TauCertificate
 from .lognormal_sum import LognormalFit
 
@@ -44,11 +44,11 @@ def analyze(scenario, samples: int, *, m0: int = 12, s1: float = 1.0, s2: float 
             moments = gaussian_approx.region_moments(
                 scenario.ue_region(cell.id), cell.bs, victim_bs,
                 scenario.channel, scenario.power, samples)
-        except EmptyRegionError as exc:
-            raise EmptyRegionError(f"cell {cell.id!r}: {exc}") from exc
-        cells.append(CellAnalysis(cell.id, moments,
-                                  gaussian_approx.tau(moments, g, threshold=tau_threshold),
-                                  gaussian_approx.interferer_gaussian(p0, moments, g)))
+            cells.append(CellAnalysis(cell.id, moments,
+                                      gaussian_approx.tau(moments, g, threshold=tau_threshold),
+                                      gaussian_approx.interferer_gaussian(p0, moments, g)))
+        except ValidationError as exc:
+            raise ValidationError(f"cell {cell.id!r}: {exc}") from exc
     fit = lognormal_sum.fit_sum([c.component for c in cells], s1=s1, s2=s2, rule=rule,
                                 ref_dbm=p0)
     return Analysis(tuple(cells), fit)

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .channel import ChannelParams, PowerControl
-from .errors import PlacementFailureError, SchemaError, UlikError, ValidationError
+from .errors import SchemaError, UlikError, ValidationError
 from .geometry import (
     Difference,
     Disk,
@@ -268,9 +268,7 @@ def _square(center: Point, half_side: float) -> Polygon:
     ))
 
 
-def gen_single_interferer(
-    r: float, shape: str = "disk", seed: int = 0
-) -> NetworkScenario:
+def gen_single_interferer(r: float, shape: str = "disk") -> NetworkScenario:
     """Two-cell scenario: victim at the origin, interferer BS at (1.5r, 0).
 
     shape "disk" uses the reference disk of radius r around the interferer
@@ -298,7 +296,7 @@ def gen_single_interferer(
     cells = (Cell(id="victim", bs=victim_bs, region=_clipped_disk_region(0, positions, r)),
              Cell(id="interferer", bs=interf_bs, region=region))
     return _network(cells, "victim", generator="single_interferer", shape=shape,
-                    radius_km=str(r), seed=str(seed))
+                    radius_km=str(r))
 
 
 @dataclass(frozen=True)
@@ -310,6 +308,24 @@ class HotspotDropSpec:
     max_attempts: int = 100_000
     seed: int = 0
 
+    def __post_init__(self):
+        w, h = self.area_km
+        spacing = self.spacing()
+        if self.n_cells < 2:
+            raise ValidationError("hotspot drop needs at least 2 cells")
+        if not (0 < w < math.inf and 0 < h < math.inf):
+            raise ValidationError(
+                f"drop area sides must be finite and positive, got {self.area_km}")
+        if not 0 < self.radius_r < math.inf:
+            raise ValidationError(f"radius must be finite and positive, got {self.radius_r}")
+        if not 0 <= spacing < math.inf:
+            raise ValidationError(f"BS spacing must be finite and nonnegative, got {spacing}")
+        density = self.n_cells * math.pi * (spacing / w) * (spacing / h) / 4
+        if density >= 0.5:
+            raise ValidationError(
+                f"infeasible drop: expected packing density {density:.2f} >= 0.5"
+            )
+
     def spacing(self) -> float:
         return self.min_bs_bs_distance if self.min_bs_bs_distance is not None \
             else 1.5 * self.radius_r
@@ -318,17 +334,19 @@ class HotspotDropSpec:
 def _clipped_disk_region(i: int, positions: list[Point], r: float) -> Region:
     """Reference disk clipped by perpendicular bisectors toward nearer BSs."""
     bs = positions[i]
+    disk = Disk(bs, r)
     planes: list[Region] = []
     for j, other in enumerate(positions):
         if j == i:
             continue
         dx, dy = other.x - bs.x, other.y - bs.y
         dist = math.hypot(dx, dy)
+        if dist == 0:
+            raise ValidationError(f"two BSs share the position ({bs.x}, {bs.y})")
         if dist >= 2.0 * r:
             continue  # bisector cannot cut the disk
         mid = Point(bs.x + dx / 2, bs.y + dy / 2)
         planes.append(HalfPlane(mid, Point(-dx / dist, -dy / dist)))
-    disk = Disk(bs, r)
     return Intersection((disk, *planes)) if planes else disk
 
 
@@ -348,21 +366,14 @@ def _network(cells: tuple[Cell, ...], victim_id: str, **metadata) -> NetworkScen
 def gen_hotspot(spec: HotspotDropSpec) -> NetworkScenario:
     """Uniform BS drop with a minimum spacing; each cell's UE area is its
     reference disk restricted to where that BS is the nearest one."""
-    if spec.n_cells < 2:
-        raise ValidationError("hotspot drop needs at least 2 cells")
     w, h = spec.area_km
     spacing = spec.spacing()
-    density = spec.n_cells * math.pi * (spacing / 2) ** 2 / (w * h)
-    if density >= 0.5:
-        raise ValidationError(
-            f"infeasible drop: expected packing density {density:.2f} >= 0.5"
-        )
     rng = substream(spec.seed, 0)
     positions: list[Point] = []
     attempts = 0
     while len(positions) < spec.n_cells:
         if attempts >= spec.max_attempts:
-            raise PlacementFailureError(
+            raise ValidationError(
                 f"placed {len(positions)}/{spec.n_cells} BSs in {attempts} attempts"
             )
         attempts += 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channel, geometry
 from .distribution import EmpiricalDistribution
-from .errors import EmptyRegionError, SchemaError, ValidationError
+from .errors import SchemaError, ValidationError
 from .streams import substream
 
 _LN10 = math.log(10.0)
@@ -76,12 +76,12 @@ class _CellSampler:
     def draw_block(self, m: int) -> np.ndarray:
         try:
             xs, ys = geometry.sample_uniform_xy(self.region, self.rng_pos, m)
-        except EmptyRegionError as exc:
-            raise EmptyRegionError(f"cell {self.cell.id!r}: {exc}") from exc
-        s = self.shadow_sd * self.rng_s.standard_normal(m)
-        h = _exponential(self.rng_h, m)
-        return channel.interference_db(self.pc, self.params, xs, ys, self.cell.bs,
-                                       self.victim_bs, s, h)
+            s = self.shadow_sd * self.rng_s.standard_normal(m)
+            h = _exponential(self.rng_h, m)
+            return channel.interference_db(self.pc, self.params, xs, ys, self.cell.bs,
+                                           self.victim_bs, s, h)
+        except ValidationError as exc:
+            raise ValidationError(f"cell {self.cell.id!r}: {exc}") from exc
 
 
 def simulate(scenario, cfg: SimConfig) -> SimResult:

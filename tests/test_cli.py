@@ -303,3 +303,71 @@ class TestCompare:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("ulik: error:") and message in err
+
+
+def _interferer_disk(doc):
+    return doc["cells"][1]["region"]["children"][0]
+
+
+_ANALYZE = ["analyze", "b2.json", "--samples", 2000, "--out", "ana"]
+_SIMULATE = ["simulate", "b2.json", "--samples", 100, "--out", "sim"]
+
+# Inputs that once ended in a raw traceback, or in exit 0 with NaN results.
+# Each case is an optional edit of the two-cell scenario saved as b2.json, the
+# commands to run in its directory, and a part of the expected message: every
+# command but the last exits 0, and the last exits 2 with one `ulik: error:` line.
+_BAD_INPUTS = {
+    "hotspot_area_0": (None, [["gen", "hotspot", "--area", 0, "-o", "s.json"]],
+                       "drop area sides must be finite and positive"),
+    "hotspot_area_negative": (None, [["gen", "hotspot", "--area", -1, "-o", "s.json"]],
+                              "drop area sides must be finite and positive"),
+    "hotspot_r_nan": (None, [["gen", "hotspot", "--r", "nan", "-o", "s.json"]],
+                      "radius must be finite and positive"),
+    "hotspot_spacing_nan": (None, [["gen", "hotspot", "--min-spacing", "nan", "-o", "s.json"]],
+                            "BS spacing must be finite and nonnegative"),
+    "hotspot_spacing_1e200": (None, [["gen", "hotspot", "--min-spacing", 1e200, "-o", "s.json"]],
+                              "infeasible drop"),
+    "hex_pitch_0": (None, [["gen", "hex", "--rings", 1, "--pitch", 0, "--r", 0.02,
+                            "-o", "s.json"]], "two BSs share the position"),
+    "single_r_1e300": (None, [["gen", "single", "--r", 1e300, "-o", "b2.json"], _ANALYZE],
+                       "cell 'interferer': moments must be finite"),
+    "analyze_disk_1e300": (lambda d: _interferer_disk(d).update(radius_km=1e300), [_ANALYZE],
+                           "cell 'interferer': moments must be finite"),
+    "simulate_disk_1e300": (lambda d: _interferer_disk(d).update(radius_km=1e300), [_SIMULATE],
+                            "leaves the floating-point range"),
+    "analyze_exclusion_1e300": (lambda d: d.update(min_bs_ue_distance_km=1e300), [_ANALYZE],
+                                "region is empty after the UE exclusion disk"),
+    "simulate_exclusion_1e300": (lambda d: d.update(min_bs_ue_distance_km=1e300), [_SIMULATE],
+                                 "region is empty after the UE exclusion disk"),
+    "analyze_sigma_1e308": (lambda d: d["channel"].update(sigma_shad_sq=1e308), [_ANALYZE],
+                            "no lognormal seed"),
+    "analyze_alpha_1e308": (lambda d: d["channel"].update(alpha=1e308), [_ANALYZE],
+                            "cell 'interferer': moments must be finite"),
+    "analyze_a_db_1e308": (lambda d: d["channel"].update(A_db=1e308), [_ANALYZE],
+                           "cell 'interferer': moments must be finite"),
+    "analyze_a_db_1e5": (lambda d: d["channel"].update(A_db=1e5), [_ANALYZE],
+                         "no lognormal seed"),
+    "compare_without_per_cell_dumps": (None, [
+        _ANALYZE, ["simulate", "b2.json", "--samples", 100, "--raw", "--out", "sim"],
+        ["compare", "--fit", "ana/fit.csv", "--report", "ana/report.csv",
+         "--samples", "sim/samples.bin", "--per-cell-dir", "sim", "--out", "cmp"],
+    ], "sim/cell_interferer.bin: no per-cell dump of cell 'interferer'"),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", list(_BAD_INPUTS))
+    def test_exits_2_with_one_error_line(self, tmp_path, b2_scenario, monkeypatch, capsys,
+                                         case):
+        edit, commands, message = _BAD_INPUTS[case]
+        if edit is not None:
+            doc = json.loads(b2_scenario.read_text())
+            edit(doc)
+            b2_scenario.write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        for argv in commands[:-1]:
+            assert run(*argv) == 0
+        capsys.readouterr()
+        assert run(*commands[-1]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("ulik: error: ") and message in line

@@ -11,7 +11,7 @@ from ulik.distribution import (
     LognormalDist,
     ks_distance,
 )
-from ulik.errors import NonpositiveValueError, ValidationError
+from ulik.errors import ValidationError
 from ulik.gaussian_approx import GaussianApprox
 
 ZETA = 10.0 / math.log(10.0)
@@ -41,7 +41,7 @@ class TestPdf:
         assert res.x < med
 
     def test_nonpositive_value(self):
-        with pytest.raises(NonpositiveValueError):
+        with pytest.raises(ValidationError, match="lognormal density needs v > 0"):
             DIST.pdf(0.0)
 
     def test_nonnegative(self):

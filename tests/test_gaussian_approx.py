@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ulik.channel import ChannelParams, PowerControl
-from ulik.errors import ValidationError, ZeroVarianceError
+from ulik.errors import ValidationError
 from ulik.gaussian_approx import (
     RADIAL_NODES,
     THETA_PANELS,
@@ -183,8 +183,30 @@ class TestTau:
 
     def test_zero_variance_error(self):
         m = RegionMoments(0.0, 0.0, 0.0, (0, 0, 0), 1)
-        with pytest.raises(ZeroVarianceError):
+        with pytest.raises(ValidationError, match="tau undefined: total variance is zero"):
             tau(m, GaussianApprox(0.0, 0.0))
+
+    def test_keeps_the_power_formula(self):
+        rng = np.random.default_rng(3)
+        for var_l, g_var, abs3 in rng.uniform(0.1, 1e3, (200, 3)):
+            m = RegionMoments(0.0, var_l, abs3 + var_l**1.5, (0, 0, 0), 1)
+            expected = 0.56 * m.abs3_l / (var_l + g_var) ** 1.5
+            assert tau(m, GaussianApprox(0.0, g_var)).tau == expected
+
+    def test_variance_beyond_float_range_gives_zero(self):
+        m = RegionMoments(0.0, 4.0, 16.0, (0, 0, 0), 1)
+        cert = tau(m, GaussianApprox(0.0, 1e308))
+        assert cert.tau == 0.0 and cert.passes
+
+    @pytest.mark.parametrize("moments", [(math.nan, 1.0, 1.0), (0.0, math.inf, math.inf),
+                                         (0.0, 1.0, math.inf), (-math.inf, 0.0, 0.0)])
+    def test_nonfinite_moments_rejected(self, moments):
+        with pytest.raises(ValidationError, match="moments must be finite"):
+            RegionMoments(*moments, (0, 0, 0), 1)
+
+    def test_huge_variance_fails_lyapunov_without_overflow(self):
+        with pytest.raises(ValidationError, match="violates the Lyapunov bound inf"):
+            RegionMoments(0.0, 1e300, 1.0, (0, 0, 0), 1)
 
 
 class TestInterfererGaussian:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ulik.errors import EmptyRegionError, ValidationError
+from ulik.errors import ValidationError
 from ulik.geometry import (
     Difference,
     Disk,
@@ -100,6 +100,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Disk(Point(0, 0), 0.0)
 
+    def test_disk_beyond_square_range(self):
+        # radius**2 overflows; the mask takes every finite point as inside.
+        xs = np.array([0.0, 1e150, -1e200])
+        assert Disk(Point(0, 0), 1e300).mask(xs, xs).all()
+
+    def test_disk_mask_keeps_the_power_formula(self):
+        # A point at distance r squares to r*r, which differs from r**2 in the
+        # last bit for about 1 in 1,200 radii; the boundary test stays r**2.
+        zero = np.zeros(1)
+        for radius in np.random.default_rng(5).uniform(1e-3, 1.0, 20_000).tolist():
+            xs = np.array([radius])
+            assert Disk(Point(0, 0), radius).mask(xs, zero) == (xs**2 <= radius**2)
+
     def test_ellipse_axes(self):
         with pytest.raises(ValidationError):
             Ellipse(Point(0, 0), 0.3, 0.5)
@@ -123,7 +136,7 @@ class TestSampling:
 
     def test_empty_region_raises(self):
         covered = Difference(Disk(Point(0, 0), 0.5), UNIT_DISK)
-        with pytest.raises(EmptyRegionError):
+        with pytest.raises(ValidationError, match="acceptance rate .* empty or too thin"):
             sample_uniform_xy(covered, rng(0), 10)
 
     def test_empty_region_fails_in_few_batches(self):
@@ -134,7 +147,7 @@ class TestSampling:
                 Counting.calls += 1
                 return super().mask(xs, ys)
 
-        with pytest.raises(EmptyRegionError):
+        with pytest.raises(ValidationError, match="acceptance rate .* empty or too thin"):
             sample_uniform_xy(Counting(UNIT_DISK, UNIT_DISK), rng(0), 1)
         assert Counting.calls <= 200
 
@@ -212,11 +225,11 @@ class TestRayCasting:
                 assert np.array_equal(within[~near], inside[~near])
 
     def test_empty_region_raises(self):
-        with pytest.raises(EmptyRegionError):
+        with pytest.raises(ValidationError, match=r"no ray of \d+ from .* meets the region"):
             ray_segments(Difference(UNIT_DISK, UNIT_DISK), Point(0.0, 0.0), 16)
 
     def test_unbounded_region_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="region has an unbounded bounding box"):
             ray_segments(HalfPlane(Point(0, 0), Point(1.0, 0.0)), Point(0.0, 0.0), 16)
 
     def test_tiny_far_region_is_hit(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ulik.errors import InvalidDesignPointsError, UlikError, UnsupportedOrderError
+from ulik.errors import UlikError, ValidationError
 from ulik.gaussian_approx import GaussianApprox
 from ulik.lognormal_sum import _log_mgf, _logsumexp, fenton_wilkinson, fit_sum, gh_rule, lognormal_mgf
 from ulik.pipeline import analyze
@@ -31,7 +31,7 @@ class TestGhRule:
 
     @pytest.mark.parametrize("m0", [1, 0, 65])
     def test_unsupported_order(self, m0):
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(ValidationError, match="Gauss-Hermite order must be in"):
             gh_rule(m0)
 
 
@@ -52,7 +52,7 @@ class TestLognormalMgf:
                 assert 0.0 < v <= 1.0
 
     def test_invalid_design_point(self):
-        with pytest.raises(InvalidDesignPointsError):
+        with pytest.raises(ValidationError, match="MGF design point must be positive"):
             lognormal_mgf(0.0, 25.0, 0.0, gh_rule(12))
 
     def test_decreasing_in_s(self):
@@ -183,9 +183,9 @@ class TestFitSum:
 
     def test_invalid_design_points(self):
         comps = [GaussianApprox(-90.0, 160.0)]
-        with pytest.raises(InvalidDesignPointsError):
+        with pytest.raises(ValidationError, match="need 0 < s2 < s1"):
             fit_sum(comps, s1=0.1, s2=1.0)
-        with pytest.raises(InvalidDesignPointsError):
+        with pytest.raises(ValidationError, match="need 0 < s2 < s1"):
             fit_sum(comps, s1=1.0, s2=-0.5)
 
     @settings(max_examples=25, deadline=None)
@@ -244,6 +244,12 @@ class TestUltraDenseFit:
 
 
 class TestFentonWilkinson:
+    @pytest.mark.parametrize("comp", [GaussianApprox(0.0, 1e308), GaussianApprox(0.0, 1e4),
+                                      GaussianApprox(-2e4, 100.0), GaussianApprox(math.nan, 1.0)])
+    def test_seed_out_of_float_range(self, comp):
+        with pytest.raises(ValidationError, match="no lognormal seed"):
+            fenton_wilkinson([comp])
+
     def test_single_component_recovers_inputs(self):
         mu, var = fenton_wilkinson([GaussianApprox(-90.0, 64.0)])
         assert mu == pytest.approx(-90.0, abs=1e-9)

@@ -1,7 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+from ulik import geometry
 from ulik.channel import combined_shadow_stats
 from ulik.errors import ValidationError
 from ulik.gaussian_approx import (
@@ -42,3 +44,14 @@ def test_missing_victim_is_a_validation_error(scenario):
     sc = dataclasses.replace(scenario, victim_cell_id="absent")
     with pytest.raises(ValidationError, match="no cell with id 'absent'"):
         analyze(sc, 2_000)
+
+
+def test_ue_on_a_bs_names_the_cell(scenario, monkeypatch):
+    # Every quadrature node sits on the victim BS.
+    victim = scenario.victim_cell().bs
+    monkeypatch.setattr(geometry, "quadrature_nodes", lambda region, origin, panels, radial: (
+        np.array([victim.x]), np.array([victim.y]), np.ones(1)))
+    first = scenario.interfering_cells()[0].id
+    with pytest.raises(ValidationError,
+                       match=f"^cell '{first}': sampled UE position coincides with a BS"):
+        analyze(scenario, 2_000)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ulik.errors import PlacementFailureError, SchemaError, UlikError, ValidationError
+from ulik.errors import SchemaError, UlikError, ValidationError
 from ulik.geometry import Disk, Point, sample_uniform_xy
 from ulik.scenario_io import (
     HotspotDropSpec,
@@ -179,6 +179,10 @@ class TestCodecProperties:
 
 
 class TestGenSingleInterferer:
+    def test_metadata(self):
+        assert gen_single_interferer(0.02, shape="paper_irregular").metadata == {
+            "generator": "single_interferer", "shape": "paper_irregular", "radius_km": "0.02"}
+
     def test_bs_spacing_is_1_5r(self):
         for r in (0.01, 0.02, 0.04):
             sc = gen_single_interferer(r)
@@ -252,11 +256,25 @@ class TestGenHotspot:
             for c in sc.cells
         )
 
+    def test_attempt_budget(self):
+        with pytest.raises(ValidationError, match=r"placed \d+/50 BSs in 10 attempts"):
+            gen_hotspot(HotspotDropSpec(n_cells=50, max_attempts=10))
+
+    # tests/test_cli.py::TestBadInput runs the zero, negative and NaN cases.
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_cells", 1, "at least 2 cells"),
+        ("area_km", (0.5, math.inf), "drop area sides must be finite and positive"),
+        ("radius_r", math.inf, "radius must be finite and positive"),
+        ("min_bs_bs_distance", -0.1, "BS spacing must be finite and nonnegative"),
+    ])
+    def test_spec_rejects(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            HotspotDropSpec(**{field: value})
+
     def test_placement_failure(self):
-        spec = HotspotDropSpec(n_cells=50, radius_r=0.2, area_km=(0.1, 0.1),
-                               min_bs_bs_distance=0.3, max_attempts=200, seed=0)
-        with pytest.raises((PlacementFailureError, ValidationError)):
-            gen_hotspot(spec)
+        with pytest.raises(ValidationError, match="infeasible drop"):
+            gen_hotspot(HotspotDropSpec(n_cells=50, radius_r=0.2, area_km=(0.1, 0.1),
+                                        min_bs_bs_distance=0.3, max_attempts=200, seed=0))
 
 
 class TestGenHexGrid:

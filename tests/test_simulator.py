@@ -5,7 +5,7 @@ import pytest
 
 from ulik import simulator
 from ulik.channel import ChannelParams, PowerControl, interference_db
-from ulik.errors import EmptyRegionError, ValidationError
+from ulik.errors import ValidationError
 from ulik.geometry import Difference, Disk, Point
 from ulik.scenario_io import Cell, NetworkScenario
 from ulik.simulator import (
@@ -136,8 +136,16 @@ class TestSimulate:
         disk = Disk(Point(0.025, 0.0), 0.005)
         empty = Cell("hollow", Point(0.03, 0.0), Difference(disk, disk))
         sc = NetworkScenario((sc.cells[0], empty), "c1", sc.channel, sc.power)
-        with pytest.raises(EmptyRegionError, match="^cell 'hollow': "):
+        with pytest.raises(ValidationError, match="^cell 'hollow': acceptance rate"):
             simulate(sc, SimConfig(n_samples=10, seed=1))
+
+    def test_ue_on_a_bs_names_the_cell(self, monkeypatch):
+        # Every UE is drawn at the victim BS, the origin.
+        monkeypatch.setattr(simulator.geometry, "sample_uniform_xy",
+                            lambda region, rng, n: (np.zeros(n), np.zeros(n)))
+        with pytest.raises(ValidationError,
+                           match="^cell 'c2': sampled UE position coincides with a BS"):
+            simulate(two_cell_scenario(), SimConfig(n_samples=10, seed=1))
 
     def test_missing_victim_is_a_validation_error(self):
         sc = two_cell_scenario()
