@@ -254,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Extreme inputs overflow on the way to an error: every result is
+        # checked for finiteness, so numpy's warnings would only add lines.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (UlikError, OSError) as exc:
         sys.stderr.write(f"ulik: error: {exc}\n")
         return 2

@@ -18,6 +18,12 @@ from .lognormal_sum import ZETA
 # name for it.
 GaussianDb = GaussianApprox
 
+# ks_distance splits each open index block into this many sub-blocks per
+# pass.  The slack covers rounding in its block bounds and the ulp-level
+# non-monotonicity of a computed CDF.
+KS_SPLIT = 32
+KS_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class LognormalDist:
@@ -56,7 +62,7 @@ class EmpiricalDistribution:
         s = self.samples
         if s.ndim != 1 or len(s) < 1:
             raise ValidationError("need at least one sample")
-        if np.any(np.diff(s) < 0):
+        if (s[1:] < s[:-1]).any():
             raise ValidationError("samples must be sorted ascending")
 
     @property
@@ -80,16 +86,55 @@ def ks_distance(a: EmpiricalDistribution, b) -> float:
     """sup |F_a - F_b| with both step sides of the empirical CDF checked.
 
     a's samples are dBm values; b is any object exposing ``cdf(values)`` over
-    dBm, another EmpiricalDistribution included: F_a is constant between a's
-    points, so F_b's values and left limits there give the exact sup.
+    dBm whose value at a point depends on that point alone, another
+    EmpiricalDistribution included.  F_a is constant between a's sorted points
+    x_i, so the sup is the largest of the terms (i+1)/n - F_b(x_i) and
+    F_b(x_i-) - i/n.  Index blocks [p, q] whose F_b(x_p) and F_b(x_q) are
+    known are refined: each pass evaluates F_b at KS_SPLIT - 1 interior points
+    of every open block, in one call, and splits the block there.  By
+    monotonicity no term inside [p, q] exceeds
+    max(q/n - F_b(x_p), F_b(x_q) - (p+1)/n), so a block whose bound does not
+    beat the running maximum is dropped, and the maximum only grows.  The
+    result is the float the terms at all n points give.
     """
-    n = a.count
-    fb = np.asarray(b.cdf(a.samples), dtype=float)
-    if isinstance(b, GaussianApprox) and b.variance > 0:
-        fb_left = fb  # a continuous b: its left limits are its values
-    else:
-        # Left limits of b let CDFs with jumps (e.g. point masses) compare exactly.
-        fb_left = np.asarray(b.cdf(np.nextafter(a.samples, -np.inf)), dtype=float)
-    upper = np.arange(1, n + 1) / n - fb
-    lower = fb_left - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max(), 0.0))
+    x, n = a.samples, a.count
+    # A continuous b's left limits are its values; b with jumps (point
+    # masses, another sample) needs them at nextafter(x, -inf).
+    continuous = isinstance(b, GaussianApprox) and b.variance > 0
+
+    def terms(idx):
+        """F_b at x[idx], and the largest exact term there."""
+        xi = x[idx]
+        if continuous:
+            f = fl = np.asarray(b.cdf(xi), dtype=float)
+        else:
+            f, fl = np.split(np.asarray(b.cdf(np.concatenate(
+                (xi, np.nextafter(xi, -np.inf)))), dtype=float), 2)
+        return f, max(((idx + 1) / n - f).max(), (fl - idx / n).max())
+
+    ends = np.array([0, n - 1])
+    f_ends, d = terms(ends)
+    d = max(d, 0.0)
+    if n <= 2:
+        return float(d)  # no interior point
+    p, q, fp, fq = ends[:1], ends[1:], f_ends[:1], f_ends[1:]
+    k = np.arange(KS_SPLIT + 1)
+    while len(p):
+        # A block of at most KS_SPLIT steps is finished off: every interior
+        # point of it is evaluated.  A longer one is split at the distinct
+        # points p = s_0 < s_1 < ... < s_KS_SPLIT = q.
+        short = q - p <= KS_SPLIT
+        gaps = q[short] - p[short] - 1
+        rest = np.arange(gaps.sum()) + np.repeat(p[short] + 1 - (np.cumsum(gaps) - gaps), gaps)
+        p, q, fp, fq = p[~short], q[~short], fp[~short], fq[~short]
+        s = p[:, None] + (k * (q - p)[:, None]) // KS_SPLIT
+        f, d_pass = terms(np.concatenate((s[:, 1:-1].ravel(), rest)))
+        d = max(d, d_pass)
+        fs = np.empty(s.shape)
+        fs[:, 0], fs[:, -1] = fp, fq
+        fs[:, 1:-1] = f[: len(p) * (KS_SPLIT - 1)].reshape(len(p), KS_SPLIT - 1)
+        lo, hi, flo, fhi = s[:, :-1], s[:, 1:], fs[:, :-1], fs[:, 1:]
+        bound = np.maximum(hi / n - flo, fhi - (lo + 1) / n)
+        keep = (hi - lo > 1) & (bound + KS_SLACK > d)
+        p, q, fp, fq = lo[keep], hi[keep], flo[keep], fhi[keep]
+    return float(d)

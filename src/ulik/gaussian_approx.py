@@ -28,6 +28,9 @@ THETA_PANELS = 64
 RADIAL_NODES = 8
 MAX_REFINEMENTS = 4
 
+# The standard library's erf, one point at a time over an array.
+_erf = np.frompyfunc(math.erf, 1, 1)
+
 
 class SurrogateAccuracyWarning(UserWarning):
     """Combined shadowing variance too small for the rated surrogate accuracy."""
@@ -46,21 +49,30 @@ class GaussianApprox:
             raise ValidationError(f"variance must be nonnegative, got {self.variance}")
 
     def cdf(self, x):
-        """Gaussian CDF; at variance 0 the right-continuous step at the mean."""
+        """Gaussian CDF; at variance 0 the right-continuous step at the mean.
+
+        Each point's value depends on that point alone, so cdf(x)[i] equals
+        cdf(x[i]) bit for bit, which ks_distance relies on."""
         x = np.asarray(x, dtype=float)
         if self.variance > 0:
-            # Imported here, so that `gen` and `simulate` never load scipy.
-            from scipy.special import erf
-
-            out = 0.5 + 0.5 * erf((x - self.mean) / math.sqrt(2.0 * self.variance))
+            z = (x - self.mean) / math.sqrt(2.0 * self.variance)
+            out = 0.5 + 0.5 * np.asarray(_erf(z), dtype=float)
         else:
             out = (x >= self.mean).astype(float)
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p: float) -> float:
-        from scipy.special import ndtri
+        """The p-quantile; p = 0 and p = 1 give -inf and +inf."""
+        if not 0.0 <= p <= 1.0:  # NaN fails too
+            raise ValidationError(f"quantile level must lie in [0, 1], got {p}")
+        if p in (0.0, 1.0):
+            z = math.copysign(math.inf, p - 0.5)
+        else:
+            # Imported here, so that `import ulik.cli` stays lean for `gen`.
+            from statistics import NormalDist
 
-        return self.mean + math.sqrt(self.variance) * float(ndtri(p))
+            z = NormalDist().inv_cdf(p)
+        return self.mean + math.sqrt(self.variance) * z
 
 
 @dataclass(frozen=True)

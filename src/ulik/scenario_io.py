@@ -358,6 +358,12 @@ def _disk_cells(positions: list[Point], r: float) -> tuple[Cell, ...]:
 
 def _network(cells: tuple[Cell, ...], victim_id: str, **metadata) -> NetworkScenario:
     """A validated scenario with the default channel and power control."""
+    # Two points within `extent` of the origin lie at most 8*extent^2 apart
+    # in squared distance, which the path-loss kernel must hold as a float.
+    extent = max(abs(v) for c in cells for corner in c.region.bounding_box() for v in corner)
+    if not 8.0 * extent * extent < math.inf:
+        raise ValidationError(f"the cells reach {extent:g} km from the origin; squared "
+                              "UE-to-BS distances would leave the floating-point range")
     return _validate(NetworkScenario(cells=cells, victim_cell_id=victim_id,
                                      channel=DEFAULT_CHANNEL, power=DEFAULT_POWER,
                                      metadata=metadata))

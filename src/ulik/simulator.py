@@ -116,7 +116,10 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
             per_cell[sampler.cell.id][start : start + m] = x
         x -= p0
         x *= _LN10 / 10.0
-        return np.exp(x, out=x)
+        # An overflow is caught by the finiteness check of the sum; worker
+        # threads do not see the caller's numpy error state, so it is set here.
+        with np.errstate(over="ignore"):
+            return np.exp(x, out=x)
 
     # With one thread the blocks run on the calling thread, the only one the
     # benchmark's tracer records; the pool then starts no worker, and map
@@ -164,7 +167,8 @@ def simulate_shadow_fading_product(
 
 
 def write_samples(path, dist: EmpiricalDistribution) -> None:
-    """Raw dump: magic, little-endian u64 count, float64 LE dBm values."""
+    """Raw dump: magic, little-endian u64 count, float64 LE dBm values in
+    ascending order."""
     data = np.ascontiguousarray(dist.samples, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(SAMPLE_DUMP_MAGIC)
@@ -184,4 +188,7 @@ def read_samples(path) -> EmpiricalDistribution:
         raise SchemaError(f"{path}: declared {count} samples, found {len(data)}")
     if not np.isfinite(data).all():
         raise SchemaError(f"{path}: non-finite sample value")
-    return EmpiricalDistribution.from_samples(data)
+    try:
+        return EmpiricalDistribution(data)  # already sorted by write_samples
+    except ValidationError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -61,13 +61,23 @@ class TestGen:
         assert len(json.loads(out.read_text())["cells"]) == 7
 
 
+def _subprocess_env():
+    """The environment of a child Python that imports ulik from this tree."""
+    src = str(Path(ulik.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestStartup:
-    def test_gen_and_simulate_load_no_scipy(self, tmp_path):
-        # gen and simulate need numpy only; scipy comes with the first
-        # Gaussian CDF, which analyze and compare evaluate.
+    def test_no_command_loads_scipy(self, tmp_path):
+        # The run time needs numpy only: the Gaussian CDF and quantile come
+        # from the standard library.
         script = (
             "import sys\n"
+            "import numpy as np\n"
             "import ulik.cli\n"
+            "from ulik.distribution import EmpiricalDistribution, ks_distance\n"
+            "from ulik.gaussian_approx import GaussianApprox\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "out = sys.argv[1]\n"
@@ -78,14 +88,23 @@ class TestStartup:
             "assert ulik.cli.main(['simulate', out + '/hs.json', '--samples', '2000',\n"
             "                      '--per-cell', '--raw', '--out', out + '/sim']) == 0\n"
             "seen['simulate'] = scipy_modules()\n"
+            "assert ulik.cli.main(['analyze', out + '/hs.json', '--samples', '2000',\n"
+            "                      '--out', out + '/ana']) == 0\n"
+            "seen['analyze'] = scipy_modules()\n"
+            "assert ulik.cli.main(['compare', '--fit', out + '/ana/fit.csv',\n"
+            "                      '--report', out + '/ana/report.csv',\n"
+            "                      '--samples', out + '/sim/samples.bin',\n"
+            "                      '--per-cell-dir', out + '/sim', '--out', out + '/cmp']) == 0\n"
+            "seen['compare'] = scipy_modules()\n"
+            "e = EmpiricalDistribution.from_samples(np.linspace(-1.0, 1.0, 101))\n"
+            "ks_distance(e, GaussianApprox(0.0, 1.0))\n"
+            "seen['ks_distance'] = scipy_modules()\n"
             "print(seen)\n"
         )
-        src = str(Path(ulik.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == str({"import": [], "gen": [], "simulate": []})
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=_subprocess_env(), capture_output=True, text=True, check=True)
+        steps = ("import", "gen", "simulate", "analyze", "compare", "ks_distance")
+        assert done.stdout.splitlines()[-1] == str({step: [] for step in steps})
 
 
 # Each malformed variant of the two-cell scenario, keyed by the JSON path of its bad field.
@@ -264,6 +283,17 @@ class TestCompare:
     FIT_HEADER = "scenario_id,s1,s2,m0,mu_q,var_q,residual1,residual2,iterations,converged\n"
     GOOD_FIT = "x,1.0,0.1,12,-80.0,4.0,0.0,0.0,3,True\n"
 
+    def test_unsorted_dump_rejected(self, tmp_path, capsys):
+        # simulate writes its dumps in ascending order, and compare reads
+        # them as they are; it does not sort an out-of-order file.
+        fit, dump = tmp_path / "fit.csv", tmp_path / "s.bin"
+        fit.write_text(self.FIT_HEADER + self.GOOD_FIT)
+        dump.write_bytes(SAMPLE_DUMP_MAGIC + struct.pack("<Q3d", 3, -80.0, -81.0, -79.0))
+        assert run("compare", "--fit", fit, "--samples", dump, "--out", tmp_path / "cmp") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"ulik: error: {dump}: samples must be sorted ascending"
+        assert not (tmp_path / "cmp").exists()
+
     @pytest.mark.parametrize("flag", ["--report", "--per-cell-dir"])
     def test_per_cell_flags_go_together(self, tmp_path, capsys, flag):
         fit, dump = tmp_path / "fit.csv", tmp_path / "s.bin"
@@ -329,8 +359,8 @@ _BAD_INPUTS = {
                               "infeasible drop"),
     "hex_pitch_0": (None, [["gen", "hex", "--rings", 1, "--pitch", 0, "--r", 0.02,
                             "-o", "s.json"]], "two BSs share the position"),
-    "single_r_1e300": (None, [["gen", "single", "--r", 1e300, "-o", "b2.json"], _ANALYZE],
-                       "cell 'interferer': moments must be finite"),
+    "single_r_1e300": (None, [["gen", "single", "--r", 1e300, "-o", "b2.json"]],
+                       "would leave the floating-point range"),
     "analyze_disk_1e300": (lambda d: _interferer_disk(d).update(radius_km=1e300), [_ANALYZE],
                            "cell 'interferer': moments must be finite"),
     "simulate_disk_1e300": (lambda d: _interferer_disk(d).update(radius_km=1e300), [_SIMULATE],
@@ -353,6 +383,31 @@ _BAD_INPUTS = {
          "--samples", "sim/samples.bin", "--per-cell-dir", "sim", "--out", "cmp"],
     ], "sim/cell_interferer.bin: no per-cell dump of cell 'interferer'"),
 }
+
+
+# Extreme inputs whose numpy overflow warnings once reached stderr ahead of
+# the error line (pytest captures warnings, so only a child process shows them).
+_EXTREME = {
+    "gen_single_r_1e300": (None, ["gen", "single", "--r", "1e300", "-o", "big.json"]),
+    "analyze_alpha_1e308": (("alpha", 1e308),
+                            ["analyze", "b2.json", "--samples", "2000", "--out", "ana"]),
+    "simulate_sigma_1e308": (("sigma_shad_sq", 1e308),
+                             ["simulate", "b2.json", "--samples", "100", "--out", "sim"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXTREME))
+def test_extreme_input_prints_one_line(tmp_path, b2_scenario, case):
+    edit, argv = _EXTREME[case]
+    if edit is not None:
+        doc = json.loads(b2_scenario.read_text())
+        doc["channel"][edit[0]] = edit[1]
+        b2_scenario.write_text(json.dumps(doc))
+    done = subprocess.run([sys.executable, "-m", "ulik.cli", *argv], cwd=tmp_path,
+                          env=_subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 2
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("ulik: error: ")
 
 
 class TestBadInput:

@@ -1,4 +1,6 @@
 import math
+import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,6 +18,31 @@ from ulik.gaussian_approx import GaussianApprox
 
 ZETA = 10.0 / math.log(10.0)
 DIST = LognormalDist(-77.21, 18.30)
+
+
+def ks_full_pass(a, b):
+    """The reference KS: every term (i+1)/n - F_b(x_i) and F_b(x_i-) - i/n."""
+    n = a.count
+    fb = np.asarray(b.cdf(a.samples), dtype=float)
+    if isinstance(b, GaussianApprox) and b.variance > 0:
+        fb_left = fb
+    else:
+        fb_left = np.asarray(b.cdf(np.nextafter(a.samples, -np.inf)), dtype=float)
+    upper = np.arange(1, n + 1) / n - fb
+    lower = fb_left - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max(), 0.0))
+
+
+class CountingCdf:
+    """A b of unknown type that counts the points its CDF is asked about."""
+
+    def __init__(self, dist):
+        self.dist, self.points = dist, 0
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        self.points += x.size
+        return self.dist.cdf(x)
 
 
 class TestPdf:
@@ -96,6 +123,23 @@ class TestGaussianDb:
         np.testing.assert_array_equal(g.cdf(xs), [0.0, 0.0, 1.0, 1.0])
         assert g.cdf(-80.0) == 1.0
 
+    def test_cdf_is_pointwise(self):
+        # ks_distance evaluates b.cdf on subsets and relies on this.
+        g = GaussianDb(-80.0, 30.0)
+        x = np.random.default_rng(4).normal(-80.0, 8.0, 10_001)
+        idx = np.random.default_rng(5).choice(len(x), 997)
+        assert g.cdf(x)[idx].tobytes() == g.cdf(x[idx]).tobytes()
+        assert all(g.cdf(x[i]) == g.cdf(x)[i] for i in idx[:50])
+
+    def test_quantile_ends(self):
+        g = GaussianDb(-77.0, 18.3)
+        assert g.quantile(0.0) == -math.inf and g.quantile(1.0) == math.inf
+
+    @pytest.mark.parametrize("p", [-1e-300, 1.0 + 2**-52, math.nan, -math.inf])
+    def test_quantile_level_outside_unit_interval(self, p):
+        with pytest.raises(ValidationError, match="quantile level"):
+            GaussianDb(-77.0, 18.3).quantile(p)
+
     def test_quantile_roundtrip(self):
         g = GaussianDb(-77.0, 18.3)
         for p in (0.01, 0.3, 0.5, 0.9, 0.999):
@@ -165,3 +209,43 @@ class TestKsDistance:
         samples = np.random.default_rng(1).normal(size=20_000)
         e = EmpiricalDistribution.from_samples(samples)
         assert ks_distance(e, GaussianDb(0.5, 1.0)) > 0.15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 100_000])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_full_pass(self, n, ties):
+        rng = np.random.default_rng(n)
+        values = rng.normal(-80.0, 5.0, n)
+        if ties:
+            values = values.round(0)
+        a = EmpiricalDistribution.from_samples(values)
+        other = EmpiricalDistribution.from_samples(rng.normal(-79.0, 5.0, 777).round(1))
+        for b in (GaussianApprox(-80.0, 25.0), GaussianApprox(-79.5, 30.0),
+                  GaussianApprox(-80.0, 0.0), GaussianApprox(float(values[n // 2]), 0.0),
+                  other, CountingCdf(GaussianApprox(-80.0, 25.0))):
+            assert ks_distance(a, b) == ks_full_pass(a, b)
+
+    def test_every_block_open_stays_within_twice_the_full_pass(self):
+        # At b's quantiles (i + 0.5)/n every term is 0.5/n, so no block can
+        # be dropped and every point is evaluated.
+        n = 100_000
+        g = GaussianApprox(-80.0, 30.0)
+        a = EmpiricalDistribution(g.mean + math.sqrt(g.variance) * np.array(
+            [NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)]))
+        assert ks_distance(a, g) == ks_full_pass(a, g)
+
+        def best_of(fn, reps=5):
+            times = []
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                fn(a, g)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert best_of(ks_distance) <= 2.0 * best_of(ks_full_pass)
+
+    def test_evaluates_few_points(self):
+        n = 1_000_000
+        a = EmpiricalDistribution.from_samples(np.random.default_rng(11).normal(size=n))
+        b = CountingCdf(GaussianApprox(0.1, 1.0))
+        assert ks_distance(a, b) == ks_full_pass(a, b.dist)
+        assert b.points <= 0.05 * n
