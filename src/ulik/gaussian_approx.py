@@ -127,15 +127,27 @@ def pathloss_difference(xs, ys, own_bs, victim_bs, params, pc):
     in dB, the one kernel behind both the region moments and the simulator's
     channel.interference_db.  It is formed from squared distances,
     alpha*log10(d) = (alpha/2)*log10(d^2), which needs no square root."""
-    dx, dy = xs - own_bs.x, ys - own_bs.y
-    d2_own = dx * dx + dy * dy
-    dx, dy = xs - victim_bs.x, ys - victim_bs.y
-    d2_vic = dx * dx + dy * dy
+    # In place on the two squared-distance arrays, in the operation order of
+    # (eta-1)*A + (alpha/2)*(eta*log10(d2_own) - log10(d2_vic)), so the bits
+    # are those of that expression.  (np.asarray: scalar coordinates give 0-d
+    # arrays, which can be written in place.)
+    d2_own, dy = np.asarray(xs - own_bs.x), np.asarray(ys - own_bs.y)
+    d2_own *= d2_own
+    dy *= dy
+    d2_own += dy
+    d2_vic = np.asarray(xs - victim_bs.x)
+    d2_vic *= d2_vic
+    np.subtract(ys, victim_bs.y, out=dy)
+    dy *= dy
+    d2_vic += dy
     if np.any(d2_own <= 0) or np.any(d2_vic <= 0):
         raise ValidationError("sampled UE position coincides with a BS")
-    return (pc.eta - 1.0) * params.a_db + (0.5 * params.alpha) * (
-        pc.eta * np.log10(d2_own) - np.log10(d2_vic)
-    )
+    out = np.log10(d2_own, out=d2_own)
+    out *= pc.eta
+    out -= np.log10(d2_vic, out=d2_vic)
+    out *= 0.5 * params.alpha
+    out += (pc.eta - 1.0) * params.a_db
+    return out
 
 
 def _moments_on(region, own_bs, victim_bs, params, pc, panels, radial):

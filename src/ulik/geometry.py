@@ -69,9 +69,6 @@ class Region:
         """((xmin, ymin), (xmax, ymax)); entries may be infinite."""
         raise NotImplementedError
 
-    def contains(self, p: Point) -> bool:
-        return bool(self.mask(np.array([p.x]), np.array([p.y]))[0])
-
 
 @dataclass(frozen=True)
 class Disk(Region):
@@ -481,8 +478,11 @@ def sample_uniform_xy(
     """Draw n i.i.d. points uniformly over the region, as coordinate arrays.
 
     Rejection sampling from the bounding box; deterministic for a given
-    generator state.  Raises ValidationError when the acceptance rate stays
-    below ACCEPTANCE_FLOOR after MAX_REJECTION_TRIALS box draws.
+    generator state.  Once a batch has accepted points, the next one draws
+    about need/p points, p being the acceptance seen so far, so that a
+    second batch almost always finishes.  Raises ValidationError when the
+    acceptance rate stays below ACCEPTANCE_FLOOR after MAX_REJECTION_TRIALS
+    box draws.
     """
     (x0, y0), (x1, y1) = _finite_box(region)
     if n <= 0:
@@ -493,16 +493,18 @@ def sample_uniform_xy(
     trials = 0
     floor = 1024  # doubles while nothing is accepted, so an empty region fails fast
     while got < n:
-        m = min(_BATCH, max(4 * (n - got), floor))
+        need = n - got
+        # The batch size depends only on counts, so the first `need` accepted
+        # points of each batch are i.i.d. uniform over the region.
+        m = int(need * trials / got * 1.1) + 64 if got else max(need, floor)
+        m = min(m, _BATCH)
         xs = rng.uniform(x0, x1, m)
         ys = rng.uniform(y0, y1, m)
-        keep = region.mask(xs, ys)
-        k = int(keep.sum())
-        take = min(k, n - got)
-        if take:
-            xs_out[got : got + take] = xs[keep][:take]
-            ys_out[got : got + take] = ys[keep][:take]
-            got += take
+        idx = np.flatnonzero(region.mask(xs, ys))[:need]
+        take = len(idx)
+        xs_out[got : got + take] = xs[idx]
+        ys_out[got : got + take] = ys[idx]
+        got += take
         trials += m
         if not got:
             floor = min(2 * floor, _BATCH)

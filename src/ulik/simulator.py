@@ -56,7 +56,11 @@ class SimResult:
 def _exponential(rng, n):
     # u = 0 would give h = 0.  The floor is below -log1p(-2**-53), the gain of
     # the smallest nonzero draw, so every u > 0 keeps its exact value.
-    return np.maximum(-np.log1p(-rng.random(n)), _MIN_FADING)
+    # max(-log1p(-u), floor), bit for bit, in place on the one array -u.
+    h = np.negative(rng.random(n))
+    np.log1p(h, out=h)
+    np.negative(h, out=h)
+    return np.maximum(h, _MIN_FADING, out=h)
 
 
 class _CellSampler:

@@ -63,6 +63,35 @@ def reference_moments(region, params, pc, panels, radial):
     return np.array([mu, p @ centered**2, p @ np.abs(centered) ** 3])
 
 
+def pathloss_expression(xs, ys, own_bs, victim_bs, params, pc):
+    """L as one expression; pathloss_difference forms it in place and must
+    keep its bits."""
+    dx, dy = xs - own_bs.x, ys - own_bs.y
+    d2_own = dx * dx + dy * dy
+    dx, dy = xs - victim_bs.x, ys - victim_bs.y
+    d2_vic = dx * dx + dy * dy
+    return (pc.eta - 1.0) * params.a_db + (0.5 * params.alpha) * (
+        pc.eta * np.log10(d2_own) - np.log10(d2_vic)
+    )
+
+
+class TestPathlossKernel:
+    @pytest.mark.parametrize("eta", [0.3, 0.8, 1.0])
+    def test_bit_identical_to_expression(self, params, eta):
+        pc = PowerControl(-76.0, eta)
+        xs, ys = np.random.default_rng(4).uniform(-0.1, 0.1, size=(2, 20_000))
+        got = pathloss_difference(xs, ys, OWN, VICTIM, params, pc)
+        want = pathloss_expression(xs, ys, OWN, VICTIM, params, pc)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_inputs_untouched(self, params, pc):
+        xs, ys = np.random.default_rng(5).uniform(-0.1, 0.1, size=(2, 100))
+        before = xs.copy(), ys.copy()
+        pathloss_difference(xs, ys, OWN, VICTIM, params, pc)
+        np.testing.assert_array_equal(xs, before[0])
+        np.testing.assert_array_equal(ys, before[1])
+
+
 class TestLognormalExpGaussian:
     def test_surrogate_offsets(self):
         g = lognormal_exp_gaussian(GaussianApprox(0.0, 164.0))

@@ -197,6 +197,13 @@ class TestExponentialFading:
         u = np.array([2.0**-53, 1e-9, 0.5, 1.0 - 2.0**-53])
         np.testing.assert_array_equal(_exponential(FixedDraws(u), 4), -np.log1p(-u))
 
+    def test_bit_identical_to_expression(self):
+        u = np.random.default_rng(6).random(100_000)
+        u[:2] = 0.0, 1.0 - 2.0**-53
+        want = np.maximum(-np.log1p(-u), simulator._MIN_FADING)
+        got = _exponential(FixedDraws(u.copy()), len(u))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestSampleFiles:
     def test_round_trip(self, tmp_path):
