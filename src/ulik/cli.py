@@ -12,6 +12,7 @@ the tool itself failed.
 
 import argparse
 import csv
+import ctypes
 import math
 import sys
 import time
@@ -251,7 +252,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt (parameter, value) pairs: M_ARENA_MAX, M_TRIM_THRESHOLD and
+# M_MMAP_THRESHOLD, at 32 MiB the largest every 64-bit glibc accepts.
+_MEMORY_POLICY = ((-8, 1), (-1, 1 << 30), (-3, 32 << 20))
+
+
+def _apply_memory_policy():
+    """Keep freed numpy temporaries in one heap for reuse (glibc only).
+
+    By default glibc maps each block-sized array afresh and trims the heap
+    after every free, so each Monte Carlo block faults its memory in again,
+    and a worker thread keeps its own arena.  Only the CLI, which owns its
+    process, sets this; importing ulik does not.  Without mallopt it does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MEMORY_POLICY:
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _apply_memory_policy()
     args = build_parser().parse_args(argv)
     try:
         # Extreme inputs overflow on the way to an error: every result is

@@ -79,7 +79,20 @@ class EmpiricalDistribution:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p: float) -> float:
-        return float(np.quantile(self.samples, p))
+        """np.quantile's default ('linear') rule, read off the sorted samples."""
+        if not 0.0 <= p <= 1.0:
+            raise ValidationError(f"quantile level must lie in [0, 1], got {p}")
+        # h = (n - 1)*p; at h = n - 1 numpy takes the last sample on both sides
+        # with weight h + 1, and it forms the lerp from the nearer end.
+        s, h = self.samples, (self.count - 1) * p
+        lo = hi = -1
+        t = h + 1
+        if h < self.count - 1:
+            lo = math.floor(h)
+            hi, t = lo + 1, h - lo
+        a, b = s[lo], s[hi]
+        d = b - a
+        return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
 
 
 def ks_distance(a: EmpiricalDistribution, b) -> float:

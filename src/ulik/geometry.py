@@ -219,10 +219,12 @@ class Polygon(Region):
         n = len(vx)
         j = n - 1
         for i in range(n):
-            cond = (vy[i] > ys) != (vy[j] > ys)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xint = (vx[j] - vx[i]) * (ys - vy[i]) / (vy[j] - vy[i]) + vx[i]
-            inside ^= cond & (xs < xint)
+            if vy[i] != vy[j]:  # a horizontal edge crosses no ray
+                xint = ys - vy[i]
+                xint *= vx[j] - vx[i]
+                xint /= vy[j] - vy[i]
+                xint += vx[i]
+                inside ^= ((vy[i] > ys) != (vy[j] > ys)) & (xs < xint)
             j = i
         return inside
 

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .channel import ChannelParams, PowerControl
 from .errors import SchemaError, UlikError, ValidationError
 from .geometry import (
@@ -23,7 +25,6 @@ from .geometry import (
     Union,
     ray_segments,
 )
-from .streams import substream
 
 FORMAT_VERSION = 1
 # Angle panels of the rays that check each UE area for emptiness at load.
@@ -374,7 +375,9 @@ def gen_hotspot(spec: HotspotDropSpec) -> NetworkScenario:
     reference disk restricted to where that BS is the nearest one."""
     w, h = spec.area_km
     spacing = spec.spacing()
-    rng = substream(spec.seed, 0)
+    # Drops keep the Philox stream they were made with: a seed names one file.
+    ss = np.random.SeedSequence(entropy=int(spec.seed), spawn_key=(0,))
+    rng = np.random.Generator(np.random.Philox(ss))
     positions: list[Point] = []
     attempts = 0
     while len(positions) < spec.n_cells:

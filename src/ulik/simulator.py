@@ -3,10 +3,10 @@ positions, shadowing, exp(1) effective fading and FPC transmit power.
 
 The two shadowing terms of a link pair enter only as eta*S_own - S_victim,
 so each realization draws that combination once, as one normal of variance
-(1 + eta^2)*sigma^2.  Per-cell variates come from counter-based substreams
-keyed by (seed, cell index, variate kind), and the cells' linear powers are
-summed in fixed cell order, so results are bit-identical for a fixed
-(seed, n_samples) regardless of worker count.  Only numpy is needed.
+(1 + eta^2)*sigma^2.  Per-cell variates come from SFC64 substreams seeded by
+SeedSequence keys (seed, cell index, variate kind), and the cells' linear
+powers are summed in fixed cell order, so results are bit-identical for a
+fixed (seed, n_samples) regardless of worker count.  Only numpy is needed.
 """
 
 import math
@@ -177,7 +177,7 @@ def write_samples(path, dist: EmpiricalDistribution) -> None:
     with open(path, "wb") as fh:
         fh.write(SAMPLE_DUMP_MAGIC)
         fh.write(struct.pack("<Q", len(data)))
-        fh.write(data.tobytes())
+        fh.write(memoryview(data))
 
 
 def read_samples(path) -> EmpiricalDistribution:

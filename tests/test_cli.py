@@ -1,7 +1,10 @@
 import csv
+import ctypes
+import hashlib
 import json
 import math
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -60,6 +63,14 @@ class TestGen:
         assert run("gen", "hex", "--rings", 1, "--pitch", 0.05, "--r", 0.02, "-o", out) == 0
         assert len(json.loads(out.read_text())["cells"]) == 7
 
+    def test_fixture_drop_is_pinned(self, tmp_path):
+        # The acceptance gate's and the benchmark's drop: its file must not move.
+        out = tmp_path / "hs.json"
+        assert run("gen", "hotspot", "--cells", 84, "--r", 0.02, "--area", 0.5,
+                   "--seed", 2, "-o", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4cbde5fd90329e7bdc539068cee1d8ba27a4032da374712e9e1e34339a7c1e19")
+
 
 def _subprocess_env():
     """The environment of a child Python that imports ulik from this tree."""
@@ -105,6 +116,52 @@ class TestStartup:
                               env=_subprocess_env(), capture_output=True, text=True, check=True)
         steps = ("import", "gen", "simulate", "analyze", "compare", "ks_distance")
         assert done.stdout.splitlines()[-1] == str({step: [] for step in steps})
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+class TestMemoryPolicy:
+    @pytest.mark.parametrize("cdll", [_no_library, lambda name: object()],
+                             ids=["no-library", "no-mallopt"])
+    def test_missing_mallopt_is_harmless(self, tmp_path, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert run("gen", "single", "--r", 0.02, "-o", tmp_path / "sc.json") == 0
+
+    def test_import_does_not_apply_it(self, tmp_path):
+        script = (
+            "import ctypes, sys\n"
+            "looked_up = []\n"
+            "class Spy(ctypes.CDLL):\n"
+            "    def __getattr__(self, name):\n"
+            "        looked_up.append(name)\n"
+            "        return super().__getattr__(name)\n"
+            "ctypes.CDLL = Spy\n"
+            "import ulik, ulik.cli\n"
+            "seen = {'import': looked_up.count('mallopt')}\n"
+            "assert ulik.cli.main(['gen', 'single', '--r', '0.02', '-o', sys.argv[1]]) == 0\n"
+            "seen['main'] = looked_up.count('mallopt')\n"
+            "print(seen)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sc.json")],
+                              env=_subprocess_env(), capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == str({"import": 0, "main": 1})
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="the policy is glibc's mallopt")
+    def test_simulate_does_not_fault_its_blocks_in_again(self, tmp_path):
+        # About 5,300 minor faults go to importing ulik.cli; without the policy
+        # this run takes some 34,000, with it about 9,000.
+        sc = tmp_path / "irregular.json"
+        save_scenario(gen_single_interferer(0.02, shape="paper_irregular"), sc)
+        proc = subprocess.Popen([sys.executable, "-m", "ulik.cli", "simulate", str(sc),
+                                 "--samples", "1000000", "--out", str(tmp_path / "sim")],
+                                env=_subprocess_env(), stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert usage.ru_minflt < 15_000
 
 
 # Each malformed variant of the two-cell scenario, keyed by the JSON path of its bad field.

@@ -160,6 +160,20 @@ class TestEmpirical:
         e = EmpiricalDistribution.from_samples(np.arange(101, dtype=float))
         assert e.quantile(0.5) == pytest.approx(50.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10**3, 2 * 10**4, 5 * 10**4, 131_073, 3 * 10**6])
+    def test_quantile_is_numpys_linear_rule(self, n):
+        r = np.random.default_rng(n)
+        levels = np.linspace(0.0, 1.0, 1001)
+        for values in (r.standard_normal(n) * 10.0 - 80.0, r.integers(-50, 50, n).astype(float)):
+            e = EmpiricalDistribution.from_samples(values)
+            got = np.array([e.quantile(float(p)) for p in levels])
+            assert got.tobytes() == np.quantile(e.samples, levels).tobytes()
+
+    @pytest.mark.parametrize("p", [-1e-300, 1.0 + 2**-52, math.nan])
+    def test_quantile_level_outside_unit_interval(self, p):
+        with pytest.raises(ValidationError, match="quantile level"):
+            EmpiricalDistribution.from_samples([1.0, 2.0]).quantile(p)
+
 
 class TestKsDistance:
     def test_self_distance_zero(self):

@@ -222,3 +222,4 @@ class TestSampleFiles:
         raw = path.read_bytes()
         assert raw[:8] == b"ULIKSMP1"
         assert int.from_bytes(raw[8:16], "little") == 10
+        assert raw[16:] == res.aggregate_dbm.samples.astype("<f8").tobytes()
