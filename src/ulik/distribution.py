@@ -71,7 +71,18 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_samples(cls, values) -> "EmpiricalDistribution":
-        return cls(samples=np.sort(np.asarray(values, dtype=float)))
+        """The empirical distribution of ``values``, which it may take over.
+
+        A writeable float64 ndarray that owns its data is sorted in place and
+        kept, so the caller must not use it afterwards.  Any other input (a
+        list, another dtype, a read-only array, a view such as a slice) is
+        copied first and left unchanged.
+        """
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                and values.flags.owndata and values.flags.writeable):
+            values = np.array(values, dtype=float)
+        values.sort()  # np.sort's quicksort, without its copy
+        return cls(samples=values)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -144,6 +144,7 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
                                       "range around the power basis P0")
             aggregate[start : start + m] = block
 
+    # from_samples sorts these arrays in place; nothing here reads them again.
     result_per_cell = None
     if per_cell is not None:
         result_per_cell = {
@@ -167,7 +168,11 @@ def simulate_shadow_fading_product(
     rng_h = substream(seed, 0, _TAG_FADING)
     s = math.sqrt(sigma_s_sq) * rng_s.standard_normal(n)
     h = _exponential(rng_h, n)
-    return EmpiricalDistribution.from_samples(s + 10.0 * np.log10(h))
+    # s + 10*log10(h), bit for bit, formed in place on h.
+    np.log10(h, out=h)
+    h *= 10.0
+    h += s
+    return EmpiricalDistribution.from_samples(h)
 
 
 def write_samples(path, dist: EmpiricalDistribution) -> None:
@@ -181,13 +186,15 @@ def write_samples(path, dist: EmpiricalDistribution) -> None:
 
 
 def read_samples(path) -> EmpiricalDistribution:
+    """The dump written by write_samples; its samples are a read-only view of
+    the file's bytes."""
     raw = Path(path).read_bytes()
     if raw[:8] != SAMPLE_DUMP_MAGIC:
         raise SchemaError(f"{path}: not a ulik sample dump")
     if len(raw) < 16 or len(raw) % 8:
         raise SchemaError(f"{path}: truncated sample dump ({len(raw)} bytes)")
     (count,) = struct.unpack("<Q", raw[8:16])
-    data = np.frombuffer(raw[16:], dtype="<f8")
+    data = np.frombuffer(raw, dtype="<f8", offset=16)
     if len(data) != count:
         raise SchemaError(f"{path}: declared {count} samples, found {len(data)}")
     if not np.isfinite(data).all():

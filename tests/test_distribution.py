@@ -156,6 +156,27 @@ class TestEmpirical:
         np.testing.assert_array_equal(e.samples, [-1.0, 2.0, 3.0])
         assert e.count == 3
 
+    def test_from_samples_takes_over_a_float_array(self):
+        values = np.array([3.0, -1.0, 2.0])
+        e = EmpiricalDistribution.from_samples(values)
+        assert np.shares_memory(e.samples, values)
+        np.testing.assert_array_equal(values, [-1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: [3.0, -1.0, 2.0],
+        lambda: np.array([3, -1, 2], dtype=np.int64),
+        lambda: np.frombuffer(np.array([3.0, -1.0, 2.0]).tobytes()),
+        lambda: np.array([3.0, 9.0, -1.0, 9.0, 2.0])[::2],
+        lambda: np.array([9.0, 3.0, -1.0, 2.0])[1:],
+    ], ids=["list", "int64", "read_only", "strided", "slice"])
+    def test_from_samples_leaves_other_inputs_unchanged(self, make):
+        values = make()
+        before = np.array(values)
+        e = EmpiricalDistribution.from_samples(values)
+        np.testing.assert_array_equal(e.samples, [-1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(values, before)
+        assert not np.shares_memory(e.samples, np.asarray(values))
+
     def test_quantiles(self):
         e = EmpiricalDistribution.from_samples(np.arange(101, dtype=float))
         assert e.quantile(0.5) == pytest.approx(50.0)
@@ -231,10 +252,13 @@ class TestKsDistance:
         values = rng.normal(-80.0, 5.0, n)
         if ties:
             values = values.round(0)
+        # A point mass at the draw in the middle of the unsorted values,
+        # taken before from_samples sorts them in place.
+        at_draw = GaussianApprox(float(values[n // 2]), 0.0)
         a = EmpiricalDistribution.from_samples(values)
         other = EmpiricalDistribution.from_samples(rng.normal(-79.0, 5.0, 777).round(1))
         for b in (GaussianApprox(-80.0, 25.0), GaussianApprox(-79.5, 30.0),
-                  GaussianApprox(-80.0, 0.0), GaussianApprox(float(values[n // 2]), 0.0),
+                  GaussianApprox(-80.0, 0.0), at_draw,
                   other, CountingCdf(GaussianApprox(-80.0, 25.0))):
             assert ks_distance(a, b) == ks_full_pass(a, b)
 

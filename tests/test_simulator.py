@@ -1,14 +1,18 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ulik import simulator
 from ulik.channel import ChannelParams, PowerControl, interference_db
-from ulik.errors import ValidationError
+from ulik.distribution import EmpiricalDistribution
+from ulik.errors import SchemaError, ValidationError
 from ulik.geometry import Difference, Disk, Point
-from ulik.scenario_io import Cell, NetworkScenario
+from ulik.scenario_io import Cell, NetworkScenario, gen_single_interferer
 from ulik.simulator import (
+    SAMPLE_DUMP_MAGIC,
     SimConfig,
     _exponential,
     read_samples,
@@ -16,6 +20,7 @@ from ulik.simulator import (
     simulate_shadow_fading_product,
     write_samples,
 )
+from ulik.streams import substream
 
 
 def two_cell_scenario(sigma_shad_sq=100.0, region_radius=1e-6):
@@ -175,6 +180,14 @@ class TestShadowFadingProduct:
         h = 10 ** (dist.samples / 10.0)
         assert h.mean() == pytest.approx(1.0, abs=0.003)
 
+    def test_bit_identical_to_expression(self):
+        n, seed = 100_000, 4
+        s = math.sqrt(164.0) * substream(seed, 0, simulator._TAG_SHADOW).standard_normal(n)
+        h = _exponential(substream(seed, 0, simulator._TAG_FADING), n)
+        want = np.sort(s + 10.0 * np.log10(h))
+        got = simulate_shadow_fading_product(164.0, n, seed).samples
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class FixedDraws:
     """Stands in for a generator whose uniform draws are given."""
@@ -213,6 +226,7 @@ class TestSampleFiles:
         write_samples(path, res.aggregate_dbm)
         back = read_samples(path)
         np.testing.assert_array_equal(back.samples, res.aggregate_dbm.samples)
+        assert not back.samples.flags.writeable
 
     def test_magic_header(self, tmp_path):
         sc = two_cell_scenario()
@@ -223,3 +237,58 @@ class TestSampleFiles:
         assert raw[:8] == b"ULIKSMP1"
         assert int.from_bytes(raw[8:16], "little") == 10
         assert raw[16:] == res.aggregate_dbm.samples.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"ULIKSMP0" + struct.pack("<Qd", 1, -80.0), "not a ulik sample dump"),
+        (SAMPLE_DUMP_MAGIC + b"\x01\x00", r"truncated sample dump \(10 bytes\)"),
+        (SAMPLE_DUMP_MAGIC + struct.pack("<Qd", 2, -80.0) + b"\x00" * 3,
+         r"truncated sample dump \(27 bytes\)"),
+        (SAMPLE_DUMP_MAGIC + struct.pack("<Qdd", 3, -80.0, -79.0), "declared 3 samples, found 2"),
+        (SAMPLE_DUMP_MAGIC + struct.pack("<Qdd", 2, -80.0, math.nan), "non-finite sample value"),
+        (SAMPLE_DUMP_MAGIC + struct.pack("<Qdd", 2, -79.0, -80.0),
+         "samples must be sorted ascending"),
+        (SAMPLE_DUMP_MAGIC + struct.pack("<Q", 0), "need at least one sample"),
+    ], ids=["magic", "short", "ragged", "count", "nonfinite", "order", "empty"])
+    def test_malformed_dump_is_a_schema_error(self, tmp_path, raw, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError, match=f"{message}$") as info:
+            read_samples(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+def traced_peak(fn):
+    """fn's result, and the peak of the memory tracemalloc traces during the
+    call above the level at its start (numpy reports its buffers to it)."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    def test_simulate_holds_each_sample_array_once(self):
+        # The two result arrays take 16 MB at 10^6 realizations.  The block
+        # temporaries do not grow with n and add about 9.6 MB (about nine
+        # float64 blocks); twelve blocks leave room for them, while a second
+        # copy of either result array (8 MB) does not fit.
+        sc = gen_single_interferer(0.02, shape="paper_irregular")
+        cfg = SimConfig(n_samples=10**6, seed=5, record_per_cell=True)
+        res, peak = traced_peak(lambda: simulate(sc, cfg))
+        held = res.aggregate_dbm.samples.nbytes + sum(
+            d.samples.nbytes for d in res.per_cell_db.values())
+        assert peak - held <= 12 * simulator._BLOCK * 8
+
+    def test_read_samples_views_the_file_bytes(self, tmp_path):
+        # The file's bytes plus a one-byte-per-sample mask come to 1.125x the
+        # body; a copy of the body would make it 2x.
+        path = tmp_path / "samples.bin"
+        write_samples(path, EmpiricalDistribution(np.arange(10.0**6)))
+        back, peak = traced_peak(lambda: read_samples(path))
+        assert peak <= 1.25 * back.samples.nbytes
