@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gaussian_approx, pipeline, scenario_io, simulator
+from . import gaussian_approx, lognormal_sum, pipeline, scenario_io, simulator
 from .distribution import ks_distance
 from .errors import SchemaError, UlikError, ValidationError
 from .gaussian_approx import GaussianApprox
@@ -218,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000,
                    help="accuracy target: each moment's quadrature error estimate stays "
                         "below the standard error of this many uniform points")
-    p.add_argument("--m0", type=int, default=12, help="Gauss-Hermite order")
-    p.add_argument("--s1", type=float, default=1.0)
-    p.add_argument("--s2", type=float, default=0.1)
+    p.add_argument("--m0", type=int, default=lognormal_sum.DEFAULT_ORDER,
+                   help="Gauss-Hermite order")
+    p.add_argument("--s1", type=float, default=lognormal_sum.DEFAULT_S1)
+    p.add_argument("--s2", type=float, default=lognormal_sum.DEFAULT_S2)
     p.add_argument("--tau-threshold", type=float,
                    default=gaussian_approx.DEFAULT_TAU_THRESHOLD)
     p.add_argument("--seed", type=int, default=0,

@@ -23,7 +23,8 @@ class Analysis:
     fit: LognormalFit
 
 
-def analyze(scenario, samples: int, *, m0: int = 12, s1: float = 1.0, s2: float = 0.1,
+def analyze(scenario, samples: int, *, m0: int = lognormal_sum.DEFAULT_ORDER,
+            s1: float = lognormal_sum.DEFAULT_S1, s2: float = lognormal_sum.DEFAULT_S2,
             tau_threshold: float = gaussian_approx.DEFAULT_TAU_THRESHOLD) -> Analysis:
     """Run the chain on every interfering cell of the scenario.
 

@@ -63,61 +63,38 @@ def _exponential(rng, n):
     return np.maximum(h, _MIN_FADING, out=h)
 
 
-class _CellSampler:
-    """Owns one interfering cell's region and RNG substreams."""
-
-    def __init__(self, cell, region, victim_bs, params, pc, seed, index):
-        self.cell = cell
-        self.region = region
-        self.victim_bs = victim_bs
-        self.params = params
-        self.pc = pc
-        self.shadow_sd = math.sqrt(channel.combined_shadow_stats(params, pc).variance)
-        self.rng_pos = substream(seed, index, _TAG_POS)
-        self.rng_s = substream(seed, index, _TAG_SHADOW)
-        self.rng_h = substream(seed, index, _TAG_FADING)
-
-    def draw_block(self, m: int) -> np.ndarray:
-        try:
-            xs, ys = geometry.sample_uniform_xy(self.region, self.rng_pos, m)
-            s = self.shadow_sd * self.rng_s.standard_normal(m)
-            h = _exponential(self.rng_h, m)
-            return channel.interference_db(self.pc, self.params, xs, ys, self.cell.bs,
-                                           self.victim_bs, s, h)
-        except ValidationError as exc:
-            raise ValidationError(f"cell {self.cell.id!r}: {exc}") from exc
-
-
 def simulate(scenario, cfg: SimConfig) -> SimResult:
     """Sample the aggregate (and optionally per-cell) interference distribution."""
     interferers = scenario.interfering_cells()
     if not interferers:
         raise ValidationError("scenario has no interfering cell")
     victim_bs = scenario.victim_cell().bs
-    samplers = [
-        _CellSampler(
-            cell,
-            scenario.ue_region(cell.id),
-            victim_bs,
-            scenario.channel,
-            scenario.power,
-            cfg.seed,
-            idx,
-        )
-        for idx, cell in enumerate(interferers)
-    ]
+    params, pc = scenario.channel, scenario.power
+    shadow_sd = math.sqrt(channel.combined_shadow_stats(params, pc).variance)
+    # Per cell: the cell, its UE region, its position, shadowing and fading streams.
+    cells = [(cell, scenario.ue_region(cell.id),
+              *(substream(cfg.seed, idx, tag) for tag in (_TAG_POS, _TAG_SHADOW, _TAG_FADING)))
+             for idx, cell in enumerate(interferers)]
 
     n = cfg.n_samples
-    p0 = scenario.power.p0_dbm
+    p0 = pc.p0_dbm
     aggregate = np.empty(n)
     per_cell = {c.id: np.empty(n) for c in interferers} if cfg.record_per_cell else None
 
-    def linear_power(sampler, start, m):
-        # 10^((x - P0)/10) of the cell's block x, formed in place; P0 is the
-        # receive level a link with L = 0 and no shadowing or fading reaches.
-        x = sampler.draw_block(m)
+    def linear_power(state, start, m):
+        # The cell's dB block x from its three streams, then 10^((x - P0)/10)
+        # formed in place; P0 is the receive level a link with L = 0 and no
+        # shadowing or fading reaches.
+        cell, region, rng_pos, rng_s, rng_h = state
+        try:
+            xs, ys = geometry.sample_uniform_xy(region, rng_pos, m)
+            s = shadow_sd * rng_s.standard_normal(m)
+            h = _exponential(rng_h, m)
+            x = channel.interference_db(pc, params, xs, ys, cell.bs, victim_bs, s, h)
+        except ValidationError as exc:
+            raise ValidationError(f"cell {cell.id!r}: {exc}") from exc
         if per_cell is not None:
-            per_cell[sampler.cell.id][start : start + m] = x
+            per_cell[cell.id][start : start + m] = x
         x -= p0
         x *= _LN10 / 10.0
         # An overflow is caught by the finiteness check of the sum; worker
@@ -132,7 +109,7 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
         run = pool.map if cfg.threads > 1 else map
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            terms = run(lambda sm: linear_power(sm, start, m), samplers)
+            terms = run(lambda state: linear_power(state, start, m), cells)
             # Summed in fixed cell order, then one log.
             total = next(terms)
             for term in terms:
@@ -145,15 +122,9 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
             aggregate[start : start + m] = block
 
     # from_samples sorts these arrays in place; nothing here reads them again.
-    result_per_cell = None
-    if per_cell is not None:
-        result_per_cell = {
-            cid: EmpiricalDistribution.from_samples(v) for cid, v in per_cell.items()
-        }
-    return SimResult(
-        aggregate_dbm=EmpiricalDistribution.from_samples(aggregate),
-        per_cell_db=result_per_cell,
-    )
+    per_cell_db = None if per_cell is None else {
+        cid: EmpiricalDistribution.from_samples(v) for cid, v in per_cell.items()}
+    return SimResult(EmpiricalDistribution.from_samples(aggregate), per_cell_db)
 
 
 def simulate_shadow_fading_product(

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from ulik import simulator
-from ulik.channel import ChannelParams, PowerControl, interference_db
+from ulik.channel import ChannelParams, PowerControl, combined_shadow_stats, interference_db
 from ulik.distribution import EmpiricalDistribution
 from ulik.errors import SchemaError, ValidationError
-from ulik.geometry import Difference, Disk, Point
+from ulik.geometry import Difference, Disk, Point, sample_uniform_xy
 from ulik.scenario_io import Cell, NetworkScenario, gen_single_interferer
 from ulik.simulator import (
     SAMPLE_DUMP_MAGIC,
@@ -36,6 +36,19 @@ def two_cell_scenario(sigma_shad_sq=100.0, region_radius=1e-6):
         channel=ChannelParams(103.8, 20.9, sigma_shad_sq),
         power=PowerControl(-76.0, 0.8),
     )
+
+
+def four_cell_scenario():
+    """Victim c1 and three interferers with small disk UE regions."""
+    cells = (
+        Cell("c1", Point(0.0, 0.0), Disk(Point(0.004, 0.0), 0.002)),
+        Cell("c2", Point(0.03, 0.0), Disk(Point(0.025, 0.0), 0.005)),
+        Cell("c3", Point(-0.03, 0.01), Disk(Point(-0.025, 0.01), 0.005)),
+        Cell("c4", Point(0.2, -0.1), Disk(Point(0.2, -0.09), 0.005)),
+    )
+    return NetworkScenario(cells=cells, victim_cell_id="c1",
+                           channel=ChannelParams(103.8, 20.9, 100.0),
+                           power=PowerControl(-76.0, 0.8))
 
 
 @pytest.fixture
@@ -90,24 +103,16 @@ class TestSimulate:
     def test_linear_sum_matches_logaddexp(self, monkeypatch):
         # Two blocks of three cells: each realization's aggregate against a
         # logaddexp reduction of its cells' dB values and against its largest cell.
-        cells = (
-            Cell("c1", Point(0.0, 0.0), Disk(Point(0.004, 0.0), 0.002)),
-            Cell("c2", Point(0.03, 0.0), Disk(Point(0.025, 0.0), 0.005)),
-            Cell("c3", Point(-0.03, 0.01), Disk(Point(-0.025, 0.01), 0.005)),
-            Cell("c4", Point(0.2, -0.1), Disk(Point(0.2, -0.09), 0.005)),
-        )
-        sc = NetworkScenario(cells=cells, victim_cell_id="c1",
-                             channel=ChannelParams(103.8, 20.9, 100.0),
-                             power=PowerControl(-76.0, 0.8))
+        sc = four_cell_scenario()
         drawn = []
-        draw_block = simulator._CellSampler.draw_block
+        interference = simulator.channel.interference_db
 
-        def recording(sampler, m):
-            x = draw_block(sampler, m)
+        def recording(*args):
+            x = interference(*args)
             drawn.append(x.copy())
             return x
 
-        monkeypatch.setattr(simulator._CellSampler, "draw_block", recording)
+        monkeypatch.setattr(simulator.channel, "interference_db", recording)
         n = simulator._BLOCK + 1000
         res = simulate(sc, SimConfig(n_samples=n, seed=9))
         assert len(drawn) == 6
@@ -117,6 +122,36 @@ class TestSimulate:
         agg = res.aggregate_dbm.samples
         np.testing.assert_allclose(agg, np.sort(reference), rtol=0, atol=1e-12)
         assert (agg >= np.sort(x.max(axis=0)) - 1e-12).all()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_blocks_rebuilt_from_their_streams(self, threads):
+        # Each cell's blocks drawn here from its own (seed, cell index, tag)
+        # streams, positions then normals then fading, reproduce the dumps
+        # bit for bit, and so does the aggregate summed linearly in cell order.
+        sc = four_cell_scenario()
+        seed, n = 4, simulator._BLOCK + 1000
+        res = simulate(sc, SimConfig(n_samples=n, seed=seed, record_per_cell=True,
+                                     threads=threads))
+        params, pc = sc.channel, sc.power
+        shadow_sd = math.sqrt(combined_shadow_stats(params, pc).variance)
+        victim_bs = sc.victim_cell().bs
+        total = 0.0
+        for idx, cell in enumerate(sc.interfering_cells()):
+            region = sc.ue_region(cell.id)
+            rng_pos, rng_s, rng_h = (substream(seed, idx, tag) for tag in (0, 1, 3))
+            blocks = []
+            for m in (simulator._BLOCK, 1000):
+                xs, ys = sample_uniform_xy(region, rng_pos, m)
+                s = shadow_sd * rng_s.standard_normal(m)
+                h = _exponential(rng_h, m)
+                blocks.append(interference_db(pc, params, xs, ys, cell.bs, victim_bs, s, h))
+            x = np.concatenate(blocks)
+            np.testing.assert_array_equal(res.per_cell_db[cell.id].samples.view(np.int64),
+                                          np.sort(x).view(np.int64))
+            total = total + np.exp((x - pc.p0_dbm) * (math.log(10.0) / 10.0))
+        want = np.sort(pc.p0_dbm + 10.0 * np.log10(total))
+        np.testing.assert_array_equal(res.aggregate_dbm.samples.view(np.int64),
+                                      want.view(np.int64))
 
     def test_aggregate_out_of_float_range_is_an_error(self):
         # A shadowing spread of 10^4 dB puts 10^(x/10) beyond the float range.
