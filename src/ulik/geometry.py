@@ -416,6 +416,16 @@ def _angle_rule(breaks, panels: int, span=None):
     return (start + h * g[kind]).ravel(), (h * wg[kind]).ravel()
 
 
+@functools.lru_cache(maxsize=None)
+def _full_circle_rule(panels: int):
+    """(w, cos theta, sin theta) of the full-circle rule without breaks; shared, read-only."""
+    theta, w = _angle_rule([], panels)
+    rule = w, np.cos(theta), np.sin(theta)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def ray_segments(region: Region, origin: Point, panels: int):
     """The parts inside the region of the rays of an angle rule around origin.
 
@@ -439,8 +449,12 @@ def ray_segments(region: Region, origin: Point, panels: int):
         turn = (phi - phi[0] + math.pi) % (2.0 * math.pi) - math.pi
         # Padded, so a tangent ray along the box's edge stays a break.
         span = phi[0] + turn.min() - _SPAN_PAD, phi[0] + turn.max() + _SPAN_PAD
-    theta, w = _angle_rule(region.break_angles(ox, oy), panels, span)
-    c, s = np.cos(theta), np.sin(theta)
+    breaks = region.break_angles(ox, oy)
+    if span is None and not breaks:
+        w, c, s = _full_circle_rule(panels)
+    else:
+        theta, w = _angle_rule(breaks, panels, span)
+        c, s = np.cos(theta), np.sin(theta)
     cuts = region.crossings(ox, oy, c, s)
     cuts = np.where((cuts > 0) & (cuts < r_max), cuts, r_max)
     ends = np.sort(np.concatenate((np.zeros((len(c), 1)), cuts, np.full((len(c), 1), r_max)),
@@ -475,7 +489,7 @@ def quadrature_nodes(region: Region, origin: Point, panels: int, radial: int):
 
 
 def sample_uniform_xy(
-    region: Region, rng: np.random.Generator, n: int
+    region: Region, rng: "np.random.Generator", n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n i.i.d. points uniformly over the region, as coordinate arrays.
 

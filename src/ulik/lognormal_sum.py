@@ -2,6 +2,7 @@
 Gauss-Hermite approximated MGF at two design points.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,6 +38,7 @@ class GaussHermiteRule:
     order: int
     abscissas: np.ndarray
     weights: np.ndarray
+    log_weights: np.ndarray  # log(weights / sqrt(pi))
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,17 @@ class LognormalFit:
     converged: bool
 
 
+@functools.lru_cache(maxsize=None)
 def gh_rule(m0: int) -> GaussHermiteRule:
-    """Physicists' Gauss-Hermite nodes and weights (weight function e^{-x^2})."""
+    """Physicists' Gauss-Hermite nodes and weights (weight function e^{-x^2}),
+    built once per order and shared by every caller, so its arrays are read-only."""
     if not 2 <= m0 <= 64:
         raise ValidationError(f"Gauss-Hermite order must be in [2, 64], got {m0}")
-    return GaussHermiteRule(m0, *np.polynomial.hermite.hermgauss(m0))
+    x, w = np.polynomial.hermite.hermgauss(m0)
+    arrays = x, w, np.log(w / math.sqrt(math.pi))
+    for a in arrays:
+        a.flags.writeable = False
+    return GaussHermiteRule(m0, *arrays)
 
 
 def _logsumexp(a, axis=None, keepdims=False):
@@ -74,40 +82,47 @@ def _log_mgf(mu, var, s, rule: GaussHermiteRule):
     axis, so one call evaluates every component at every design point.  When
     the MGF is close to 1 (weak components, the interesting regime for
     dense-network sums) log(MGF) is of order -s*E[X] and must keep full
-    relative precision, so it is formed with expm1/log1p; _logsumexp takes
+    relative precision, so it is formed with expm1/log1p; a log-sum-exp takes
     over below 1/2, where MGF - 1 is clamped so that log1p never sees -1.  The
     derivatives weight each node by its share of the MGF, a softmax of the
     log terms formed in the log domain, so a node whose power overflows
     contributes 0.
     """
     mu, var, s = (np.asarray(a, dtype=float)[..., None] for a in (mu, var, s))
-    x = np.sqrt(2.0 * np.maximum(var, 0.0)) * rule.abscissas
-    log_z = (x + mu) / ZETA
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
+        x = np.sqrt(2.0 * np.maximum(var, 0.0)) * rule.abscissas
+        log_z = (x + mu) / ZETA
         sz = s * np.exp(log_z)
-    t = np.expm1(-sz) @ rule.weights / math.sqrt(math.pi)
-    log_terms = np.log(rule.weights / math.sqrt(math.pi)) - sz
-    lse = _logsumexp(log_terms, axis=-1, keepdims=True)
-    value = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)), lse[..., 0])
-    # d log MGF / d log z_i = -(share of node i) * s * z_i; d log z_i / d mu = 1 / ZETA
-    d = -np.exp(np.log(s) + log_z + log_terms - lse) / ZETA
+        t = np.expm1(-sz) @ rule.weights / math.sqrt(math.pi)
+        log_terms = rule.log_weights - sz
+        # log-sum-exp over the nodes, shifted by the largest finite term.
+        top = log_terms.max(axis=-1, keepdims=True)
+        top[~np.isfinite(top)] = 0.0
+        lse = np.log(np.exp(log_terms - top).sum(axis=-1, keepdims=True)) + top
+        value = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)), lse[..., 0])
+        # d log MGF / d log z_i = -(share of node i) * s * z_i; d log z_i / d mu = 1 / ZETA
+        d = -np.exp(np.log(s) + log_z + log_terms - lse) / ZETA
     return value, d.sum(axis=-1), (d * x).sum(axis=-1)
 
 
 def lognormal_mgf(mu: float, var: float, s: float, rule: GaussHermiteRule) -> float:
     """GH-approximated MGF evaluated at s > 0; exact exp(-s*10^(mu/10)) at var=0."""
-    if s <= 0:
-        raise ValidationError(f"MGF design point must be positive, got {s}")
-    if var < 0:
-        raise ValidationError(f"variance must be nonnegative, got {var}")
+    if not 0 < s < math.inf:
+        raise ValidationError(f"MGF design point must be positive and finite, got {s}")
+    if not (math.isfinite(mu) and 0 <= var < math.inf):
+        raise ValidationError(f"need a finite mean and a finite nonnegative variance, "
+                              f"got ({mu}, {var})")
     return math.exp(_log_mgf(mu, var, s, rule)[0])
 
 
 def fenton_wilkinson(components: Sequence[GaussianApprox]) -> tuple[float, float]:
     """Moment-matched (mu, var) seed for the fit: match the linear-domain mean
     and variance of the sum of lognormals."""
-    mus = np.array([c.mean for c in components])
-    vs = np.array([c.variance for c in components])
+    return _fenton_wilkinson(np.array([c.mean for c in components]),
+                             np.array([c.variance for c in components]))
+
+
+def _fenton_wilkinson(mus: np.ndarray, vs: np.ndarray) -> tuple[float, float]:
     # Overflow and 0/0 leave inf or NaN, which the range check below refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.exp(mus / ZETA + vs / (2 * ZETA**2))
@@ -179,10 +194,12 @@ def fit_sum(
             var = float(np.exp(2.0 * ls))
         if not math.isfinite(var):
             return np.full(2, np.inf), None
-        value, d_mu, d_ls = _log_mgf(mu, var, s_points, rule)
-        return (value - targets) / scale, np.stack([d_mu, d_ls], axis=1) / scale[:, None]
+        jac = np.empty((2, 2))
+        value, jac[:, 0], jac[:, 1] = _log_mgf(mu, var, s_points, rule)
+        jac /= scale[:, None]
+        return (value - targets) / scale, jac
 
-    mu, var0 = fenton_wilkinson([GaussianApprox(m, v) for m, v in zip(mus, vs)])
+    mu, var0 = _fenton_wilkinson(mus, vs)
     ls = 0.5 * math.log(max(var0, 1e-16))
     f, jac = residuals(mu, ls)
     size = float(np.max(np.abs(f)))

@@ -11,7 +11,6 @@ fixed (seed, n_samples) regardless of worker count.  Only numpy is needed.
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +64,8 @@ def _exponential(rng, n):
 
 def simulate(scenario, cfg: SimConfig) -> SimResult:
     """Sample the aggregate (and optionally per-cell) interference distribution."""
+    from concurrent.futures import ThreadPoolExecutor  # loaded here, not by every import
+
     interferers = scenario.interfering_cells()
     if not interferers:
         raise ValidationError("scenario has no interfering cell")

@@ -12,7 +12,7 @@ seed still names the same scenario file.
 import numpy as np
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
+def substream(seed: int, *key: int) -> "np.random.Generator":
     """Generator for the substream identified by (seed, *key)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.SFC64(ss))

@@ -117,6 +117,37 @@ class TestStartup:
         steps = ("import", "gen", "simulate", "analyze", "compare", "ks_distance")
         assert done.stdout.splitlines()[-1] == str({step: [] for step in steps})
 
+    def test_only_simulate_loads_numpy_random_and_the_thread_pool(self, tmp_path):
+        # analyze, compare and the modules bench/sweep.py imports pay for
+        # neither; simulate needs both.
+        scenario = tmp_path / "hs.json"
+        save_scenario(gen_hotspot(HotspotDropSpec(n_cells=6, seed=1)), scenario)
+        assert run("simulate", scenario, "--samples", 2000, "--per-cell", "--raw",
+                   "--out", tmp_path / "sim") == 0
+        script = (
+            "import sys\n"
+            "import ulik.cli\n"
+            "from ulik import distribution, lognormal_sum, simulator\n"
+            "def loaded():\n"
+            "    return [m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules]\n"
+            "out = sys.argv[1]\n"
+            "assert ulik.cli.main(['analyze', out + '/hs.json', '--samples', '2000',\n"
+            "                      '--out', out + '/ana']) == 0\n"
+            "assert ulik.cli.main(['compare', '--fit', out + '/ana/fit.csv',\n"
+            "                      '--report', out + '/ana/report.csv',\n"
+            "                      '--samples', out + '/sim/samples.bin',\n"
+            "                      '--per-cell-dir', out + '/sim', '--out', out + '/cmp']) == 0\n"
+            "seen = {'analyze, compare': loaded()}\n"
+            "assert ulik.cli.main(['simulate', out + '/hs.json', '--samples', '2000',\n"
+            "                      '--out', out + '/sim2']) == 0\n"
+            "seen['simulate'] = loaded()\n"
+            "print(seen)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=_subprocess_env(), capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == str(
+            {"analyze, compare": [], "simulate": ["numpy.random", "concurrent.futures"]})
+
 
 def _no_library(name):
     raise OSError("no C library")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ulik import geometry
 from ulik.errors import ValidationError
 from ulik.geometry import (
     Difference,
@@ -344,3 +345,23 @@ class TestRayCasting:
         # The rays cover only the angles of the region's bounding box.
         _, _, ws = quadrature_nodes(Disk(Point(0.2, 0.1), 1e-9), Point(0.0, 0.0), 16, 8)
         assert ws.sum() == pytest.approx(math.pi * 1e-18, rel=1e-6)
+
+    @pytest.mark.parametrize("panels", [16, 64, 128])
+    def test_full_circle_rule_is_shared_and_exact(self, panels, monkeypatch):
+        # A cell whose own BS sees no break angle, as in every hotspot cell,
+        # reads its rays from one shared read-only rule with the same bits.
+        w, c, s = rule = geometry._full_circle_rule(panels)
+        assert geometry._full_circle_rule(panels) is rule
+        theta, w_fresh = geometry._angle_rule([], panels)
+        for got, want in ((w, w_fresh), (c, np.cos(theta)), (s, np.sin(theta))):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+        cell = Difference(Intersection((Disk(INSIDE, 0.02), HalfPlane(
+            Point(INSIDE.x + 0.01, INSIDE.y), Point(-1.0, 0.0)))), Disk(INSIDE, 0.005))
+        shared = ray_segments(cell, INSIDE, panels)
+        calls = []
+        monkeypatch.setattr(geometry, "_full_circle_rule", lambda p: (
+            calls.append(p) or (w_fresh, np.cos(theta), np.sin(theta))))
+        for got, want in zip(shared, ray_segments(cell, INSIDE, panels)):
+            assert got.tobytes() == want.tobytes()
+        assert calls == [panels]

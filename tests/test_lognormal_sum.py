@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -7,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ulik.errors import UlikError, ValidationError
 from ulik.gaussian_approx import GaussianApprox
-from ulik.lognormal_sum import _log_mgf, _logsumexp, fenton_wilkinson, fit_sum, gh_rule, lognormal_mgf
+from ulik.lognormal_sum import (ZETA, _log_mgf, _logsumexp, fenton_wilkinson, fit_sum, gh_rule,
+                                lognormal_mgf)
 from ulik.pipeline import analyze
 from ulik.scenario_io import HotspotDropSpec, gen_hotspot
 
@@ -32,8 +34,18 @@ class TestGhRule:
 
     @pytest.mark.parametrize("m0", [1, 0, 65])
     def test_unsupported_order(self, m0):
-        with pytest.raises(ValidationError, match="Gauss-Hermite order must be in"):
-            gh_rule(m0)
+        for _ in range(2):  # a refused order is never cached
+            with pytest.raises(ValidationError, match="Gauss-Hermite order must be in"):
+                gh_rule(m0)
+
+    @pytest.mark.parametrize("m0", [2, 12, 64])
+    def test_shared_and_read_only(self, m0):
+        rule = gh_rule(m0)
+        assert gh_rule(m0) is rule
+        for a in (rule.abscissas, rule.weights, rule.log_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert rule.log_weights.tolist() == np.log(rule.weights / math.sqrt(math.pi)).tolist()
 
 
 class TestLognormalMgf:
@@ -55,6 +67,24 @@ class TestLognormalMgf:
     def test_invalid_design_point(self):
         with pytest.raises(ValidationError, match="MGF design point must be positive"):
             lognormal_mgf(0.0, 25.0, 0.0, gh_rule(12))
+
+    @pytest.mark.parametrize("mu, var, s, match", [
+        (math.nan, 25.0, 1.0, "finite mean"),
+        (math.inf, 25.0, 1.0, "finite mean"),
+        (-math.inf, 25.0, 1.0, "finite mean"),
+        (0.0, math.nan, 1.0, "finite nonnegative variance"),
+        (0.0, math.inf, 1.0, "finite nonnegative variance"),
+        (0.0, -1.0, 1.0, "finite nonnegative variance"),
+        (0.0, 25.0, math.nan, "MGF design point must be positive and finite"),
+        (0.0, 25.0, math.inf, "MGF design point must be positive and finite"),
+        (0.0, 25.0, -1.0, "MGF design point must be positive and finite"),
+    ])
+    def test_non_finite_input_rejected(self, mu, var, s, match):
+        # Refused before numpy sees it, so no RuntimeWarning comes first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                lognormal_mgf(mu, var, s, gh_rule(12))
 
     def test_decreasing_in_s(self):
         rule = gh_rule(12)
@@ -125,6 +155,35 @@ class TestLogMgfKernel:
             out = _log_mgf(0.0, var, 1e4, gh_rule(12))
         assert all(np.isfinite(v) for v in out)
         assert float(out[0]) < 0 and float(out[1]) < 0
+
+    @staticmethod
+    def reference(mu, var, s, rule):
+        # The kernel's expression before the rule carried its log weights and
+        # the log-sum-exp moved inline; the kernel must match it bit for bit.
+        mu, var, s = (np.asarray(a, dtype=float)[..., None] for a in (mu, var, s))
+        x = np.sqrt(2.0 * np.maximum(var, 0.0)) * rule.abscissas
+        log_z = (x + mu) / ZETA
+        with np.errstate(over="ignore"):
+            sz = s * np.exp(log_z)
+        t = np.expm1(-sz) @ rule.weights / math.sqrt(math.pi)
+        log_terms = np.log(rule.weights / math.sqrt(math.pi)) - sz
+        lse = _logsumexp(log_terms, axis=-1, keepdims=True)
+        value = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)), lse[..., 0])
+        d = -np.exp(np.log(s) + log_z + log_terms - lse) / ZETA
+        return value, d.sum(axis=-1), (d * x).sum(axis=-1)
+
+    @pytest.mark.parametrize("m0", [2, 12, 32, 64])
+    def test_bits_match_reference_expression(self, m0):
+        rule = gh_rule(m0)
+        mu = np.array([-120.0, -40.0, -3.0, 0.0, 20.0])
+        var = np.array([0.0, 4.0, 36.0, 200.0, 1e4, 1e6])
+        s = np.array([1e-3, 0.1, 1.0, 3.0, 1e4])
+        calls = [(mu[:, None, None], var[None, :, None], s[None, None, :])]
+        calls += [(m, v, s[1:3]) for m in mu for v in var]  # one fit trial point each
+        for args in calls:
+            for got, want in zip(_log_mgf(*args, rule), self.reference(*args, rule)):
+                assert got.shape == want.shape
+                assert (got.view(np.int64) == want.view(np.int64)).all()
 
     @pytest.mark.parametrize("mu, var, s", [(-40.0, 50.0, 0.01), (-10.0, 36.0, 1.0),
                                             (0.0, 25.0, 0.1), (-3.0, 4.0, 2.0)])
@@ -218,6 +277,33 @@ class TestFitSum:
         assert math.isfinite(fit.mu_q) and math.isfinite(fit.var_q)
         if fit.converged:
             assert max(abs(r) for r in fit.residuals) <= 1e-8
+
+
+class TestFitBits:
+    """fit_sum over bench/run.py's design-point grid plus the (1e4, 1e3, 12)
+    point without a root, on a fixed 84-component set."""
+
+    GRID = tuple((s1, s2, m) for s1, s2 in ((0.1, 0.01), (0.3, 0.03), (1.0, 0.1), (1.0, 0.01),
+                                          (3.0, 0.3), (3.0, 0.03), (10.0, 1.0), (10.0, 0.1),
+                                          (30.0, 3.0))
+                 for m in (8, 12, 16, 20, 24, 32)) + ((1e4, 1e3, 12),)
+    COMPONENTS = [GaussianApprox(-120.0 + 0.22 * (i * 37 % 84), 200.0 + 0.075 * (i * 53 % 84))
+                  for i in range(84)]
+
+    def fits(self):
+        return [fit_sum(self.COMPONENTS, s1=s1, s2=s2, rule=gh_rule(m), ref_dbm=-76.0)
+                for s1, s2, m in self.GRID]
+
+    def test_results_are_pinned(self):
+        fits = self.fits()
+        assert [f.converged for f in fits] == [True] * (len(self.GRID) - 1) + [False]
+        digest = hashlib.sha256("".join(map(repr, fits)).encode()).hexdigest()
+        assert digest == "740ae913cb01807fe79dbf3851c95d1c00ed9609745254854d08f370a4e8d0fb"
+
+    def test_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.fits()
 
 
 class TestUltraDenseFit:
