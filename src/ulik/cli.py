@@ -8,6 +8,9 @@ Machine-readable "key=value" summary lines go to stdout, diagnostics to
 stderr.  Exit code 0 covers runs where some tau certificates fail their
 threshold (that is an analysis result, flagged in the report); nonzero means
 the tool itself failed.
+
+Each subcommand imports the modules only it calls when it runs, so that,
+for example, `compare` never loads the geometry engine.
 """
 
 import argparse
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gaussian_approx, lognormal_sum, pipeline, scenario_io, simulator
+from . import gaussian_approx, lognormal_sum
 from .distribution import ks_distance
 from .errors import SchemaError, UlikError, ValidationError
 from .gaussian_approx import GaussianApprox
@@ -46,6 +49,8 @@ def _emit(key, value):
 
 
 def cmd_analyze(args) -> int:
+    from . import pipeline, scenario_io
+
     scenario = scenario_io.load_scenario(args.scenario, lenient=args.lenient)
     t0 = time.monotonic()
 
@@ -84,6 +89,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import scenario_io, simulator
+
     cfg = simulator.SimConfig(
         n_samples=args.samples, seed=args.seed,
         record_per_cell=args.per_cell, threads=args.threads,
@@ -130,6 +137,8 @@ def _field(path, line, row, column):
 
 
 def cmd_compare(args) -> int:
+    from . import simulator
+
     fit_rows = _read_report(args.fit)
     if len(fit_rows) != 1:
         raise ValidationError(f"{args.fit}: expected exactly one fit row")
@@ -167,6 +176,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import scenario_io
+
     if args.kind == "single":
         scenario = scenario_io.gen_single_interferer(args.r, shape=args.shape)
     elif args.kind == "hotspot":

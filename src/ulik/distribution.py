@@ -56,13 +56,17 @@ class LognormalDist:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    samples: np.ndarray  # sorted, ascending, dBm
+    samples: np.ndarray  # finite, sorted ascending, dBm
 
     def __post_init__(self):
         s = self.samples
         if s.ndim != 1 or len(s) < 1:
             raise ValidationError("need at least one sample")
-        if (s[1:] < s[:-1]).any():
+        # One pass: ascending pairs between finite ends leave no room for NaN
+        # (which fails every comparison) or an infinity.
+        if not ((s[1:] >= s[:-1]).all() and math.isfinite(s[0]) and math.isfinite(s[-1])):
+            if not np.isfinite(s).all():
+                raise ValidationError("non-finite sample value")
             raise ValidationError("samples must be sorted ascending")
 
     @property

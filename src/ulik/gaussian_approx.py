@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .errors import ValidationError
 
 BERRY_ESSEEN_C0 = 0.56
@@ -153,6 +152,8 @@ def pathloss_difference(xs, ys, own_bs, victim_bs, params, pc):
 def _moments_on(region, own_bs, victim_bs, params, pc, panels, radial):
     """(mu, var, abs3) of L on one quadrature rule, the spread (standard
     deviation) of L, (L-mu)^2 and |L-mu|^3 under it, and its node count."""
+    from . import geometry  # loaded here, not by the Gaussian types every subcommand uses
+
     xs, ys, ws = geometry.quadrature_nodes(region, own_bs, panels, radial)
     p = ws / ws.sum()
     lvals = pathloss_difference(xs, ys, own_bs, victim_bs, params, pc)
@@ -166,9 +167,9 @@ def _moments_on(region, own_bs, victim_bs, params, pc, panels, radial):
 
 
 def region_moments(
-    region: geometry.Region,
-    own_bs: geometry.Point,
-    victim_bs: geometry.Point,
+    region: "geometry.Region",
+    own_bs: "geometry.Point",
+    victim_bs: "geometry.Point",
     params,
     pc,
     n: int,

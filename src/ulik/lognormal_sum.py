@@ -74,9 +74,10 @@ def _logsumexp(a, axis=None, keepdims=False):
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def _log_mgf(mu, var, s, rule: GaussHermiteRule):
+def _log_mgf(mu, var, s, rule: GaussHermiteRule, derivatives: bool = True):
     """log of the GH-approximated MGF of the lognormal 10^(X/10), X ~ N(mu, var),
-    and its derivatives with respect to mu and log sigma.
+    and its derivatives with respect to mu and log sigma (the value alone if
+    not ``derivatives``).
 
     mu, var and s broadcast against each other, with the nodes on a trailing
     axis, so one call evaluates every component at every design point.  When
@@ -100,6 +101,8 @@ def _log_mgf(mu, var, s, rule: GaussHermiteRule):
         top[~np.isfinite(top)] = 0.0
         lse = np.log(np.exp(log_terms - top).sum(axis=-1, keepdims=True)) + top
         value = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)), lse[..., 0])
+        if not derivatives:
+            return value
         # d log MGF / d log z_i = -(share of node i) * s * z_i; d log z_i / d mu = 1 / ZETA
         d = -np.exp(np.log(s) + log_z + log_terms - lse) / ZETA
     return value, d.sum(axis=-1), (d * x).sum(axis=-1)
@@ -112,7 +115,7 @@ def lognormal_mgf(mu: float, var: float, s: float, rule: GaussHermiteRule) -> fl
     if not (math.isfinite(mu) and 0 <= var < math.inf):
         raise ValidationError(f"need a finite mean and a finite nonnegative variance, "
                               f"got ({mu}, {var})")
-    return math.exp(_log_mgf(mu, var, s, rule)[0])
+    return math.exp(_log_mgf(mu, var, s, rule, derivatives=False))
 
 
 def fenton_wilkinson(components: Sequence[GaussianApprox]) -> tuple[float, float]:
@@ -181,7 +184,7 @@ def fit_sum(
         ref = ZETA * _logsumexp(mus / ZETA + vs / (2 * ZETA**2))
     mus -= ref
     # Product of component MGFs, accumulated in the log domain.
-    targets = _log_mgf(mus[:, None], vs[:, None], s_points, rule)[0].sum(axis=0)
+    targets = _log_mgf(mus[:, None], vs[:, None], s_points, rule, derivatives=False).sum(axis=0)
     scale = np.maximum(np.abs(targets), 1e-300)
 
     def residuals(mu, ls):

@@ -10,16 +10,14 @@ fixed (seed, n_samples) regardless of worker count.  Only numpy is needed.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import channel, geometry
 from .distribution import EmpiricalDistribution
 from .errors import SchemaError, ValidationError
-from .streams import substream
 
 _LN10 = math.log(10.0)
 _BLOCK = 1 << 17  # realizations per block; fixed so results never depend on it
@@ -64,7 +62,11 @@ def _exponential(rng, n):
 
 def simulate(scenario, cfg: SimConfig) -> SimResult:
     """Sample the aggregate (and optionally per-cell) interference distribution."""
-    from concurrent.futures import ThreadPoolExecutor  # loaded here, not by every import
+    # Loaded here, not by every import: reading a dump needs none of them.
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import channel, geometry
+    from .streams import substream
 
     interferers = scenario.interfering_cells()
     if not interferers:
@@ -136,6 +138,8 @@ def simulate_shadow_fading_product(
     Validates the fixed-offset Gaussian surrogate for the lognormal-times-
     exponential product.
     """
+    from .streams import substream
+
     rng_s = substream(seed, 0, _TAG_SHADOW)
     rng_h = substream(seed, 0, _TAG_FADING)
     s = math.sqrt(sigma_s_sq) * rng_s.standard_normal(n)
@@ -158,19 +162,23 @@ def write_samples(path, dist: EmpiricalDistribution) -> None:
 
 
 def read_samples(path) -> EmpiricalDistribution:
-    """The dump written by write_samples; its samples are a read-only view of
-    the file's bytes."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != SAMPLE_DUMP_MAGIC:
-        raise SchemaError(f"{path}: not a ulik sample dump")
-    if len(raw) < 16 or len(raw) % 8:
-        raise SchemaError(f"{path}: truncated sample dump ({len(raw)} bytes)")
-    (count,) = struct.unpack("<Q", raw[8:16])
-    data = np.frombuffer(raw, dtype="<f8", offset=16)
-    if len(data) != count:
-        raise SchemaError(f"{path}: declared {count} samples, found {len(data)}")
-    if not np.isfinite(data).all():
-        raise SchemaError(f"{path}: non-finite sample value")
+    """The dump written by write_samples, read into one read-only array."""
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if header[:8] != SAMPLE_DUMP_MAGIC:
+            raise SchemaError(f"{path}: not a ulik sample dump")
+        size = os.fstat(fh.fileno()).st_size
+        if size < 16 or size % 8:
+            raise SchemaError(f"{path}: truncated sample dump ({size} bytes)")
+        (count,) = struct.unpack("<Q", header[8:])
+        if count != (size - 16) // 8:
+            raise SchemaError(f"{path}: declared {count} samples, found {(size - 16) // 8}")
+        data = np.empty(count, dtype="<f8")
+        got = fh.readinto(data)
+    if got != data.nbytes:
+        raise SchemaError(f"{path}: the sample dump changed while it was read "
+                          f"({16 + got} of {size} bytes)")
+    data.flags.writeable = False
     try:
         return EmpiricalDistribution(data)  # already sorted by write_samples
     except ValidationError as exc:

@@ -148,6 +148,43 @@ class TestStartup:
         assert done.stdout.splitlines()[-1] == str(
             {"analyze, compare": [], "simulate": ["numpy.random", "concurrent.futures"]})
 
+    # Each fresh process below reports which of these ulik modules it loaded.
+    MODULES = ("ulik.geometry", "ulik.channel", "ulik.scenario_io", "ulik.pipeline",
+               "ulik.streams", "ulik.simulator")
+
+    def loaded_modules(self, body, *argv):
+        script = ("import sys\n" + body
+                  + f"print([m for m in {self.MODULES!r} if m in sys.modules])\n")
+        done = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                              env=_subprocess_env(), capture_output=True, text=True, check=True)
+        return done.stdout.splitlines()[-1]
+
+    def test_each_subcommand_loads_only_the_modules_it_calls(self, tmp_path):
+        # compare and bench/sweep.py read dumps and fit; neither touches a
+        # scenario, its geometry or a random stream.  gen writes a scenario
+        # and neither simulates nor analyzes.
+        scenario = tmp_path / "hs.json"
+        save_scenario(gen_hotspot(HotspotDropSpec(n_cells=6, seed=1)), scenario)
+        assert run("simulate", scenario, "--samples", 2000, "--per-cell", "--raw",
+                   "--out", tmp_path / "sim") == 0
+        assert run("analyze", scenario, "--samples", 2000, "--out", tmp_path / "ana") == 0
+        compare = (
+            "import ulik.cli\n"
+            "out = sys.argv[1]\n"
+            "assert ulik.cli.main(['compare', '--fit', out + '/ana/fit.csv',\n"
+            "                      '--report', out + '/ana/report.csv',\n"
+            "                      '--samples', out + '/sim/samples.bin',\n"
+            "                      '--per-cell-dir', out + '/sim', '--out', out + '/cmp']) == 0\n"
+        )
+        assert self.loaded_modules(compare, tmp_path) == "['ulik.simulator']"
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        sweep = "sys.path.insert(0, sys.argv[1])\nimport sweep\n"  # its imports only
+        assert self.loaded_modules(sweep, bench) == "['ulik.simulator']"
+        gen = ("import ulik.cli\n"
+               "assert ulik.cli.main(['gen', 'hotspot', '--cells', '6', '-o', sys.argv[1]]) == 0\n")
+        assert self.loaded_modules(gen, tmp_path / "gen.json") == (
+            "['ulik.geometry', 'ulik.channel', 'ulik.scenario_io']")
+
 
 def _no_library(name):
     raise OSError("no C library")
@@ -403,8 +440,13 @@ class TestCompare:
          SAMPLE_DUMP_MAGIC + struct.pack("<Qd", 2, -80.0) + b"\x00" * 3, "truncated"),
         (FIT_HEADER + GOOD_FIT, None,
          SAMPLE_DUMP_MAGIC + struct.pack("<Qdd", 2, -80.0, math.inf), "non-finite"),
+        (FIT_HEADER + GOOD_FIT, None,
+         SAMPLE_DUMP_MAGIC + struct.pack("<Qddd", 3, -81.0, math.nan, -79.0), "non-finite"),
+        (FIT_HEADER + GOOD_FIT, None,
+         SAMPLE_DUMP_MAGIC + struct.pack("<Qdd", 2, -math.inf, -80.0), "non-finite"),
     ], ids=["fit_no_mu_q", "fit_text_mu_q", "fit_nan_mu_q", "report_no_mu_qb",
-            "report_no_cell_id", "dump_short_header", "dump_partial_value", "dump_inf_value"])
+            "report_no_cell_id", "dump_short_header", "dump_partial_value", "dump_inf_value",
+            "dump_nan_value", "dump_minus_inf_value"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, fit_text, report_text,
                                      dump_bytes, message):
         good = EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0])

@@ -148,8 +148,15 @@ class TestGaussianDb:
 
 class TestEmpirical:
     def test_sorted_required(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^samples must be sorted ascending$"):
             EmpiricalDistribution(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("values", [[0.1, math.nan, -0.2], [0.1, math.inf, -0.2],
+                                        [0.1, -math.inf, -0.2], [math.nan]],
+                             ids=["nan", "+inf", "-inf", "nan_alone"])
+    def test_non_finite_sample_rejected(self, values):
+        with pytest.raises(ValidationError, match="^non-finite sample value$"):
+            EmpiricalDistribution.from_samples(values)
 
     def test_from_samples_sorts(self):
         e = EmpiricalDistribution.from_samples([3.0, -1.0, 2.0])

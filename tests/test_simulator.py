@@ -1,11 +1,12 @@
 import math
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ulik import simulator
+from ulik import channel, geometry, simulator
 from ulik.channel import ChannelParams, PowerControl, combined_shadow_stats, interference_db
 from ulik.distribution import EmpiricalDistribution
 from ulik.errors import SchemaError, ValidationError
@@ -105,14 +106,14 @@ class TestSimulate:
         # logaddexp reduction of its cells' dB values and against its largest cell.
         sc = four_cell_scenario()
         drawn = []
-        interference = simulator.channel.interference_db
+        interference = channel.interference_db
 
         def recording(*args):
             x = interference(*args)
             drawn.append(x.copy())
             return x
 
-        monkeypatch.setattr(simulator.channel, "interference_db", recording)
+        monkeypatch.setattr(channel, "interference_db", recording)
         n = simulator._BLOCK + 1000
         res = simulate(sc, SimConfig(n_samples=n, seed=9))
         assert len(drawn) == 6
@@ -181,7 +182,7 @@ class TestSimulate:
 
     def test_ue_on_a_bs_names_the_cell(self, monkeypatch):
         # Every UE is drawn at the victim BS, the origin.
-        monkeypatch.setattr(simulator.geometry, "sample_uniform_xy",
+        monkeypatch.setattr(geometry, "sample_uniform_xy",
                             lambda region, rng, n: (np.zeros(n), np.zeros(n)))
         with pytest.raises(ValidationError,
                            match="^cell 'c2': sampled UE position coincides with a BS"):
@@ -291,6 +292,17 @@ class TestSampleFiles:
             read_samples(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    def test_dump_that_shrinks_while_read_is_a_schema_error(self, tmp_path, monkeypatch):
+        # The size is taken when the header is read; the body then falls short.
+        path = tmp_path / "s.bin"
+        write_samples(path, EmpiricalDistribution(np.arange(3.0)))
+        stat = os.stat(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with monkeypatch.context() as m, pytest.raises(
+                SchemaError, match=r"changed while it was read \(32 of 40 bytes\)$"):
+            m.setattr(os, "fstat", lambda fd: stat)
+            read_samples(path)
+
 
 def traced_peak(fn):
     """fn's result, and the peak of the memory tracemalloc traces during the
@@ -321,8 +333,8 @@ class TestMemory:
         assert peak - held <= 12 * simulator._BLOCK * 8
 
     def test_read_samples_views_the_file_bytes(self, tmp_path):
-        # The file's bytes plus a one-byte-per-sample mask come to 1.125x the
-        # body; a copy of the body would make it 2x.
+        # The one array the body is read into plus a one-byte-per-sample mask
+        # come to 1.125x the body; a copy of the body would make it 2x.
         path = tmp_path / "samples.bin"
         write_samples(path, EmpiricalDistribution(np.arange(10.0**6)))
         back, peak = traced_peak(lambda: read_samples(path))
