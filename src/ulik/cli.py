@@ -296,7 +296,7 @@ def main(argv=None) -> int:
         # checked for finiteness, so numpy's warnings would only add lines.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (UlikError, OSError) as exc:
+    except (UlikError, OSError, MemoryError) as exc:
         sys.stderr.write(f"ulik: error: {exc}\n")
         return 2
 

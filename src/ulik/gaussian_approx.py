@@ -44,8 +44,9 @@ class GaussianApprox:
     variance: float
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValidationError(f"variance must be nonnegative, got {self.variance}")
+        if not (math.isfinite(self.mean) and 0 <= self.variance < math.inf):
+            raise ValidationError(f"need a finite mean and a finite nonnegative variance, "
+                                  f"got ({self.mean}, {self.variance})")
 
     def cdf(self, x):
         """Gaussian CDF; at variance 0 the right-continuous step at the mean.
@@ -100,14 +101,11 @@ class RegionMoments:
 @dataclass(frozen=True)
 class TauCertificate:
     tau: float
-    threshold: float
     passes: bool
 
 
 def lognormal_exp_gaussian(s_stats: GaussianApprox) -> GaussianApprox:
     """Gaussian surrogate for S + 10*log10(H) with S ~ N(s_stats), H ~ exp(1)."""
-    if not math.isfinite(s_stats.mean):
-        raise ValidationError("combined shadowing mean must be finite")
     if s_stats.variance <= SURROGATE_MIN_VARIANCE:
         warnings.warn(
             f"surrogate rated accurate only for variance > {SURROGATE_MIN_VARIANCE} "
@@ -208,12 +206,14 @@ def tau(
 ) -> TauCertificate:
     """Berry-Esseen certificate bounding the CDF gap of the Gaussian
     approximation of the per-interferer dB interference."""
+    if not 0 < threshold < math.inf:
+        raise ValidationError(f"tau threshold must be positive and finite, got {threshold}")
     denom_var = moments.var_l + g.variance
     if denom_var <= 0:
         raise ValidationError("tau undefined: total variance is zero")
     with np.errstate(over="ignore"):  # **1.5's bits, but inf (tau = 0), not OverflowError
         t = float(BERRY_ESSEEN_C0 * moments.abs3_l / np.float64(denom_var) ** 1.5)
-    return TauCertificate(tau=t, threshold=threshold, passes=t <= threshold)
+    return TauCertificate(tau=t, passes=t <= threshold)
 
 
 def interferer_gaussian(

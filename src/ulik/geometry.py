@@ -286,20 +286,26 @@ class HalfPlane(Region):
 class _Combination(Region):
     """A set operation over ``children``: its boundary is theirs."""
 
+    def __post_init__(self):
+        if not self.children:
+            raise ValidationError(f"{type(self).__name__.lower()} needs at least one child")
+
     def crossings(self, ox, oy, c, s):
         return np.concatenate([ch.crossings(ox, oy, c, s) for ch in self.children], axis=1)
 
     def break_angles(self, ox, oy):
         return [a for ch in self.children for a in ch.break_angles(ox, oy)]
 
+    def _box(self, lo, hi):
+        """The box from lo of the children's lower corners to hi of their upper
+        ones, coordinate by coordinate."""
+        los, his = zip(*(c.bounding_box() for c in self.children))
+        return tuple(map(lo, zip(*los))), tuple(map(hi, zip(*his)))
+
 
 @dataclass(frozen=True)
 class Intersection(_Combination):
     children: tuple[Region, ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValidationError("intersection needs at least one child")
 
     def mask(self, xs, ys):
         out = self.children[0].mask(xs, ys)
@@ -310,20 +316,12 @@ class Intersection(_Combination):
         return out
 
     def bounding_box(self):
-        los, his = zip(*(c.bounding_box() for c in self.children))
-        return (
-            (max(p[0] for p in los), max(p[1] for p in los)),
-            (min(p[0] for p in his), min(p[1] for p in his)),
-        )
+        return self._box(max, min)
 
 
 @dataclass(frozen=True)
 class Union(_Combination):
     children: tuple[Region, ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValidationError("union needs at least one child")
 
     def mask(self, xs, ys):
         out = self.children[0].mask(xs, ys)
@@ -332,11 +330,7 @@ class Union(_Combination):
         return out
 
     def bounding_box(self):
-        los, his = zip(*(c.bounding_box() for c in self.children))
-        return (
-            (min(p[0] for p in los), min(p[1] for p in los)),
-            (max(p[0] for p in his), max(p[1] for p in his)),
-        )
+        return self._box(min, max)
 
 
 @dataclass(frozen=True)

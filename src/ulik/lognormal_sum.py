@@ -35,7 +35,6 @@ _STALL_STEPS = 8
 
 @dataclass(frozen=True)
 class GaussHermiteRule:
-    order: int
     abscissas: np.ndarray
     weights: np.ndarray
     log_weights: np.ndarray  # log(weights / sqrt(pi))
@@ -60,18 +59,7 @@ def gh_rule(m0: int) -> GaussHermiteRule:
     arrays = x, w, np.log(w / math.sqrt(math.pi))
     for a in arrays:
         a.flags.writeable = False
-    return GaussHermiteRule(m0, *arrays)
-
-
-def _logsumexp(a, axis=None, keepdims=False):
-    """log(sum(exp(a))) along axis, shifted by the largest term; -inf when
-    every term is -inf."""
-    a = np.asarray(a, dtype=float)
-    top = np.max(a, axis=axis, keepdims=True)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
-    return out if keepdims else np.squeeze(out, axis=axis)
+    return GaussHermiteRule(*arrays)
 
 
 def _log_mgf(mu, var, s, rule: GaussHermiteRule, derivatives: bool = True):
@@ -118,14 +106,9 @@ def lognormal_mgf(mu: float, var: float, s: float, rule: GaussHermiteRule) -> fl
     return math.exp(_log_mgf(mu, var, s, rule, derivatives=False))
 
 
-def fenton_wilkinson(components: Sequence[GaussianApprox]) -> tuple[float, float]:
-    """Moment-matched (mu, var) seed for the fit: match the linear-domain mean
-    and variance of the sum of lognormals."""
-    return _fenton_wilkinson(np.array([c.mean for c in components]),
-                             np.array([c.variance for c in components]))
-
-
-def _fenton_wilkinson(mus: np.ndarray, vs: np.ndarray) -> tuple[float, float]:
+def fenton_wilkinson(mus: np.ndarray, vs: np.ndarray) -> tuple[float, float]:
+    """Moment-matched (mu, var) seed for the fit from dB means and variances:
+    match the linear-domain mean and variance of the sum of lognormals."""
     # Overflow and 0/0 leave inf or NaN, which the range check below refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.exp(mus / ZETA + vs / (2 * ZETA**2))
@@ -181,7 +164,9 @@ def fit_sum(
     if ref_dbm is not None:
         ref = float(ref_dbm)
     else:
-        ref = ZETA * _logsumexp(mus / ZETA + vs / (2 * ZETA**2))
+        a = mus / ZETA + vs / (2 * ZETA**2)  # log-sum-exp of the linear means
+        top = a.max()
+        ref = ZETA * (np.log(np.exp(a - top).sum()) + top)
     mus -= ref
     # Product of component MGFs, accumulated in the log domain.
     targets = _log_mgf(mus[:, None], vs[:, None], s_points, rule, derivatives=False).sum(axis=0)
@@ -202,7 +187,7 @@ def fit_sum(
         jac /= scale[:, None]
         return (value - targets) / scale, jac
 
-    mu, var0 = _fenton_wilkinson(mus, vs)
+    mu, var0 = fenton_wilkinson(mus, vs)
     ls = 0.5 * math.log(max(var0, 1e-16))
     f, jac = residuals(mu, ls)
     size = float(np.max(np.abs(f)))

@@ -31,6 +31,7 @@ FORMAT_VERSION = 1
 _VALIDATION_PANELS = 16
 DEFAULT_MIN_BS_UE_DISTANCE = 0.005  # km
 _TYPE = "type"  # the key that tags a region node
+MAX_PLACEMENT_ATTEMPTS = 100_000  # BS candidates a hotspot drop tries before it gives up
 
 DEFAULT_CHANNEL = ChannelParams(a_db=103.8, alpha=20.9, sigma_shad_sq=100.0, n_antennas=4)
 DEFAULT_POWER = PowerControl(p0_dbm=-76.0, eta=0.8)
@@ -306,7 +307,6 @@ class HotspotDropSpec:
     radius_r: float = 0.02
     area_km: tuple[float, float] = (0.5, 0.5)
     min_bs_bs_distance: float | None = None  # defaults to 1.5 * radius_r
-    max_attempts: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
@@ -381,7 +381,7 @@ def gen_hotspot(spec: HotspotDropSpec) -> NetworkScenario:
     positions: list[Point] = []
     attempts = 0
     while len(positions) < spec.n_cells:
-        if attempts >= spec.max_attempts:
+        if attempts >= MAX_PLACEMENT_ATTEMPTS:
             raise ValidationError(
                 f"placed {len(positions)}/{spec.n_cells} BSs in {attempts} attempts"
             )

@@ -6,7 +6,8 @@ so each realization draws that combination once, as one normal of variance
 (1 + eta^2)*sigma^2.  Per-cell variates come from SFC64 substreams seeded by
 SeedSequence keys (seed, cell index, variate kind), and the cells' linear
 powers are summed in fixed cell order, so results are bit-identical for a
-fixed (seed, n_samples) regardless of worker count.  Only numpy is needed.
+fixed (seed, n_samples) regardless of worker count.  Hotspot drops keep their
+Philox stream, so a seed still names one scenario file.  Only numpy is needed.
 """
 
 import math
@@ -40,6 +41,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValidationError(f"need at least one realization, got {self.n_samples}")
+        if self.n_samples > 2**53:  # past it, the KS's i/n and quantile's (n-1)*p are inexact
+            raise ValidationError(f"at most 2**53 realizations, got {self.n_samples}")
         if self.threads < 1:
             raise ValidationError("thread count must be positive")
 
@@ -48,6 +51,12 @@ class SimConfig:
 class SimResult:
     aggregate_dbm: EmpiricalDistribution
     per_cell_db: dict | None = None
+
+
+def substream(seed: int, *key: int) -> "np.random.Generator":
+    """SFC64 generator of the independent substream keyed by (seed, *key)."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _exponential(rng, n):
@@ -66,7 +75,6 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
     from concurrent.futures import ThreadPoolExecutor
 
     from . import channel, geometry
-    from .streams import substream
 
     interferers = scenario.interfering_cells()
     if not interferers:
@@ -138,8 +146,6 @@ def simulate_shadow_fading_product(
     Validates the fixed-offset Gaussian surrogate for the lognormal-times-
     exponential product.
     """
-    from .streams import substream
-
     rng_s = substream(seed, 0, _TAG_SHADOW)
     rng_h = substream(seed, 0, _TAG_FADING)
     s = math.sqrt(sigma_s_sq) * rng_s.standard_normal(n)

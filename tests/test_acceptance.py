@@ -27,7 +27,7 @@ from ulik.lognormal_sum import fit_sum, gh_rule, lognormal_mgf
 from ulik.pipeline import analyze
 from ulik.scenario_io import HotspotDropSpec, gen_hotspot, gen_single_interferer
 from ulik.simulator import SimConfig, simulate, simulate_shadow_fading_product
-from ulik.streams import substream
+from ulik.simulator import substream
 
 SIGMA_S_SQ = 164.0  # (1 + 0.8^2) * 100
 SIGMA_G_SQ = SIGMA_S_SQ + 5.57**2

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ulik
+from ulik import simulator
 from ulik.cli import main
 from ulik.distribution import EmpiricalDistribution
 from ulik.geometry import Difference, Disk, Point
@@ -150,7 +151,7 @@ class TestStartup:
 
     # Each fresh process below reports which of these ulik modules it loaded.
     MODULES = ("ulik.geometry", "ulik.channel", "ulik.scenario_io", "ulik.pipeline",
-               "ulik.streams", "ulik.simulator")
+               "ulik.simulator")
 
     def loaded_modules(self, body, *argv):
         script = ("import sys\n" + body
@@ -507,6 +508,12 @@ _BAD_INPUTS = {
                            "cell 'interferer': moments must be finite"),
     "analyze_a_db_1e5": (lambda d: d["channel"].update(A_db=1e5), [_ANALYZE],
                          "no lognormal seed"),
+    "analyze_tau_threshold_nan": (None, [_ANALYZE + ["--tau-threshold", "nan"]],
+                                  "tau threshold must be positive and finite, got nan"),
+    "analyze_tau_threshold_negative": (None, [_ANALYZE + ["--tau-threshold", -1]],
+                                       "tau threshold must be positive and finite, got -1.0"),
+    "simulate_samples_2_61": (None, [["simulate", "b2.json", "--samples", 2**61, "--out", "sim"]],
+                              f"at most 2**53 realizations, got {2**61}"),
     "compare_without_per_cell_dumps": (None, [
         _ANALYZE, ["simulate", "b2.json", "--samples", 100, "--raw", "--out", "sim"],
         ["compare", "--fit", "ana/fit.csv", "--report", "ana/report.csv",
@@ -556,3 +563,15 @@ class TestBadInput:
         assert run(*commands[-1]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("ulik: error: ") and message in line
+
+    def test_memory_error_exits_2(self, tmp_path, b2_scenario, monkeypatch, capsys):
+        # Stands in for a sample count too large to allocate; no such count
+        # is ever asked for here.
+        def simulate(scenario, cfg):
+            raise MemoryError(f"Unable to allocate arrays for {cfg.n_samples} samples")
+
+        monkeypatch.setattr(simulator, "simulate", simulate)
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate", "b2.json", "--samples", 2**40, "--out", "sim") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"ulik: error: Unable to allocate arrays for {2**40} samples"

@@ -92,6 +92,22 @@ class TestPathlossKernel:
         np.testing.assert_array_equal(ys, before[1])
 
 
+class TestGaussianApprox:
+    @pytest.mark.parametrize("mean, variance", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (0.0, math.nan), (0.0, math.inf), (0.0, -1.0), (math.nan, math.nan),
+    ])
+    def test_non_finite_or_negative_parameters_rejected(self, mean, variance):
+        # Before, GaussianApprox(nan, nan).cdf(0.0) read 0.0 and
+        # GaussianApprox(0, inf).quantile(0.3) read -inf.
+        with pytest.raises(ValidationError,
+                           match="need a finite mean and a finite nonnegative variance"):
+            GaussianApprox(mean, variance)
+
+    def test_extreme_finite_parameters_accepted(self):
+        assert GaussianApprox(-1e308, 1.7e308).variance == 1.7e308
+
+
 class TestLognormalExpGaussian:
     def test_surrogate_offsets(self):
         g = lognormal_exp_gaussian(GaussianApprox(0.0, 164.0))
@@ -209,6 +225,12 @@ class TestTau:
         cert = tau(m, GaussianApprox(0.0, 4.0), threshold=0.5)
         assert cert.passes == (cert.tau <= 0.5)
         assert not tau(m, GaussianApprox(0.0, 4.0), threshold=0.01).passes
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        m = RegionMoments(0.0, 4.0, 16.0, (0, 0, 0), 1)
+        with pytest.raises(ValidationError, match="tau threshold must be positive and finite"):
+            tau(m, GaussianApprox(0.0, 4.0), threshold=threshold)
 
     def test_zero_variance_error(self):
         m = RegionMoments(0.0, 0.0, 0.0, (0, 0, 0), 1)

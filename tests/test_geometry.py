@@ -18,7 +18,7 @@ from ulik.geometry import (
     ray_segments,
     sample_uniform_xy,
 )
-from ulik.streams import substream
+from ulik.simulator import substream
 
 
 def rng(seed=0):
@@ -113,6 +113,10 @@ class TestBoundingBox:
         u = Union((UNIT_DISK, Disk(Point(3.0, 0.0), 1.0)))
         assert u.bounding_box() == ((-1.0, -1.0), (4.0, 1.0))
 
+    def test_intersection_overlap(self):
+        region = Intersection((UNIT_DISK, Disk(Point(0.5, 0.25), 1.0)))
+        assert region.bounding_box() == ((-0.5, -0.75), (1.0, 1.0))
+
     def test_intersection_no_wider_than_child(self):
         region = Intersection((UNIT_DISK, HalfPlane(Point(0.0, 0.0), Point(1.0, 0.0))))
         (x0, y0), (x1, y1) = region.bounding_box()
@@ -156,6 +160,12 @@ class TestValidation:
     def test_ellipse_axes(self):
         with pytest.raises(ValidationError):
             Ellipse(Point(0, 0), 0.3, 0.5)
+
+    @pytest.mark.parametrize("kind", [Intersection, Union])
+    def test_combination_needs_a_child(self, kind):
+        with pytest.raises(ValidationError,
+                           match=f"^{kind.__name__.lower()} needs at least one child$"):
+            kind(())
 
     def test_polygon_needs_three_vertices(self):
         with pytest.raises(ValidationError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ulik import scenario_io
 from ulik.errors import SchemaError, UlikError, ValidationError
 from ulik.geometry import Disk, sample_uniform_xy
 from ulik.scenario_io import (
@@ -21,7 +22,7 @@ from ulik.scenario_io import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from ulik.streams import substream
+from ulik.simulator import substream
 
 
 def minimal_doc():
@@ -86,6 +87,14 @@ class TestLoadScenario:
         for _ in range(1000):
             cell["region"] = {"type": "union", "children": [cell["region"]]}
         with pytest.raises(SchemaError, match="nested too deeply"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", ["intersection", "union"])
+    def test_childless_combination_names_the_path(self, kind):
+        doc = minimal_doc()
+        doc["cells"][1]["region"] = {"type": kind, "children": []}
+        with pytest.raises(SchemaError, match=rf"^\$\.cells\[1\]\.region: {kind} needs at "
+                                              "least one child$"):
             scenario_from_dict(doc)
 
     def test_load_from_file(self, tmp_path):
@@ -254,9 +263,10 @@ class TestGenHotspot:
             for c in sc.cells
         )
 
-    def test_attempt_budget(self):
+    def test_attempt_budget(self, monkeypatch):
+        monkeypatch.setattr(scenario_io, "MAX_PLACEMENT_ATTEMPTS", 10)
         with pytest.raises(ValidationError, match=r"placed \d+/50 BSs in 10 attempts"):
-            gen_hotspot(HotspotDropSpec(n_cells=50, max_attempts=10))
+            gen_hotspot(HotspotDropSpec(n_cells=50))
 
     # tests/test_cli.py::TestBadInput runs the zero, negative and NaN cases.
     @pytest.mark.parametrize("field, value, message", [
@@ -272,7 +282,7 @@ class TestGenHotspot:
     def test_placement_failure(self):
         with pytest.raises(ValidationError, match="infeasible drop"):
             gen_hotspot(HotspotDropSpec(n_cells=50, radius_r=0.2, area_km=(0.1, 0.1),
-                                        min_bs_bs_distance=0.3, max_attempts=200, seed=0))
+                                        min_bs_bs_distance=0.3, seed=0))
 
 
 class TestGenHexGrid:

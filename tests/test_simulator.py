@@ -19,9 +19,9 @@ from ulik.simulator import (
     read_samples,
     simulate,
     simulate_shadow_fading_product,
+    substream,
     write_samples,
 )
-from ulik.streams import substream
 
 
 def two_cell_scenario(sigma_shad_sq=100.0, region_radius=1e-6):
@@ -197,6 +197,13 @@ class TestSimulate:
     def test_sample_count_validated(self):
         with pytest.raises(ValidationError):
             SimConfig(n_samples=0)
+
+    def test_sample_count_capped_at_2_53(self):
+        # A configuration allocates nothing, so these counts are safe to build.
+        assert SimConfig(n_samples=2**53).n_samples == 2**53
+        for n in (2**53 + 1, 2**61):
+            with pytest.raises(ValidationError, match=rf"at most 2\*\*53 realizations, got {n}"):
+                SimConfig(n_samples=n)
 
 
 class TestShadowFadingProduct:
