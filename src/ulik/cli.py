@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gaussian_approx, lognormal_sum
+from . import lognormal_sum
 from .distribution import ks_distance
 from .errors import SchemaError, UlikError, ValidationError
 from .gaussian_approx import GaussianApprox
@@ -51,15 +51,17 @@ def _emit(key, value):
 def cmd_analyze(args) -> int:
     from . import pipeline, scenario_io
 
+    threshold = args.tau_threshold
+    if not 0 < threshold < math.inf:
+        raise ValidationError(f"tau threshold must be positive and finite, got {threshold}")
     scenario = scenario_io.load_scenario(args.scenario, lenient=args.lenient)
     t0 = time.monotonic()
 
-    result = pipeline.analyze(scenario, args.samples, m0=args.m0, s1=args.s1, s2=args.s2,
-                              tau_threshold=args.tau_threshold)
+    result = pipeline.analyze(scenario, args.samples, m0=args.m0, s1=args.s1, s2=args.s2)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = [[c.cell_id, c.moments.mu_l, c.moments.var_l, c.moments.abs3_l,
-             c.certificate.tau, c.certificate.passes, c.component.mean, c.component.variance,
+             c.tau, c.tau <= threshold, c.component.mean, c.component.variance,
              *c.moments.std_errors, c.moments.sample_count]
             for c in result.cells]
     fit = result.fit
@@ -136,13 +138,22 @@ def _field(path, line, row, column):
     return value
 
 
+def _gaussian(path, line, row, mean, variance):
+    """The GaussianApprox of two columns of a CSV line; a bad value is a SchemaError."""
+    mu, var = (_field(path, line, row, c) for c in (mean, variance))
+    try:
+        return GaussianApprox(mu, var)
+    except ValidationError as exc:
+        raise SchemaError(f"{path}: line {line}, column {variance!r}: {exc}") from exc
+
+
 def cmd_compare(args) -> int:
     from . import simulator
 
     fit_rows = _read_report(args.fit)
     if len(fit_rows) != 1:
         raise ValidationError(f"{args.fit}: expected exactly one fit row")
-    mu_q, var_q = (_field(args.fit, 2, fit_rows[0], c) for c in ("mu_q", "var_q"))
+    q = _gaussian(args.fit, 2, fit_rows[0], "mu_q", "var_q")
     if fit_rows[0].get("converged") != "True":
         raise ValidationError(f"{args.fit}: the fit did not converge; it matches no MGF")
     if (args.report is None) != (args.per_cell_dir is None):
@@ -161,11 +172,10 @@ def cmd_compare(args) -> int:
             if not dump.exists():
                 raise ValidationError(f"{dump}: no per-cell dump of cell {cell_id!r}; "
                                       "run simulate with --per-cell")
-            mu_qb, var_qb = (_field(args.report, line, row, c) for c in ("mu_qb", "var_qb"))
-            ks = ks_distance(simulator.read_samples(dump), GaussianApprox(mu_qb, var_qb))
-            rows.append([cell_id, ks])
+            q_b = _gaussian(args.report, line, row, "mu_qb", "var_qb")
+            rows.append([cell_id, ks_distance(simulator.read_samples(dump), q_b)])
 
-    ks_agg = ks_distance(agg, GaussianApprox(mu_q, var_q))
+    ks_agg = ks_distance(agg, q)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "comparison.csv", ["cell_id", "ks"], rows + [["aggregate", ks_agg]])
@@ -194,6 +204,9 @@ def cmd_gen(args) -> int:
     _emit("victim", scenario.victim_cell_id)
     _emit("path", args.out)
     return 0
+
+
+DEFAULT_TAU_THRESHOLD = 0.01
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Gauss-Hermite order")
     p.add_argument("--s1", type=float, default=lognormal_sum.DEFAULT_S1)
     p.add_argument("--s2", type=float, default=lognormal_sum.DEFAULT_S2)
-    p.add_argument("--tau-threshold", type=float,
-                   default=gaussian_approx.DEFAULT_TAU_THRESHOLD)
+    p.add_argument("--tau-threshold", type=float, default=DEFAULT_TAU_THRESHOLD)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for scripts; has no effect, the analysis draws nothing")
     p.add_argument("--lenient", action="store_true")

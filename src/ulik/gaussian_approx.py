@@ -19,8 +19,6 @@ STD_OFFSET_DB = 5.57
 # The surrogate is only rated accurate above this combined shadowing variance.
 SURROGATE_MIN_VARIANCE = 36.0
 
-DEFAULT_TAU_THRESHOLD = 0.01
-
 # Region-moment quadrature: the first rule, and how often both of its node
 # counts may double to meet the accuracy a sample count asks for.
 THETA_PANELS = 64
@@ -96,12 +94,6 @@ class RegionMoments:
             raise ValidationError(
                 f"third absolute moment {self.abs3_l} violates the Lyapunov bound {bound}"
             )
-
-
-@dataclass(frozen=True)
-class TauCertificate:
-    tau: float
-    passes: bool
 
 
 def lognormal_exp_gaussian(s_stats: GaussianApprox) -> GaussianApprox:
@@ -199,21 +191,14 @@ def region_moments(
                          std_errors=tuple(map(float, errs)), sample_count=count)
 
 
-def tau(
-    moments: RegionMoments,
-    g: GaussianApprox,
-    threshold: float = DEFAULT_TAU_THRESHOLD,
-) -> TauCertificate:
+def tau(moments: RegionMoments, g: GaussianApprox) -> float:
     """Berry-Esseen certificate bounding the CDF gap of the Gaussian
     approximation of the per-interferer dB interference."""
-    if not 0 < threshold < math.inf:
-        raise ValidationError(f"tau threshold must be positive and finite, got {threshold}")
     denom_var = moments.var_l + g.variance
     if denom_var <= 0:
         raise ValidationError("tau undefined: total variance is zero")
     with np.errstate(over="ignore"):  # **1.5's bits, but inf (tau = 0), not OverflowError
-        t = float(BERRY_ESSEEN_C0 * moments.abs3_l / np.float64(denom_var) ** 1.5)
-    return TauCertificate(tau=t, passes=t <= threshold)
+        return float(BERRY_ESSEEN_C0 * moments.abs3_l / np.float64(denom_var) ** 1.5)
 
 
 def interferer_gaussian(

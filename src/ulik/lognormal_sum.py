@@ -100,9 +100,7 @@ def lognormal_mgf(mu: float, var: float, s: float, rule: GaussHermiteRule) -> fl
     """GH-approximated MGF evaluated at s > 0; exact exp(-s*10^(mu/10)) at var=0."""
     if not 0 < s < math.inf:
         raise ValidationError(f"MGF design point must be positive and finite, got {s}")
-    if not (math.isfinite(mu) and 0 <= var < math.inf):
-        raise ValidationError(f"need a finite mean and a finite nonnegative variance, "
-                              f"got ({mu}, {var})")
+    GaussianApprox(mu, var)  # refuses a non-finite mean or a negative or infinite variance
     return math.exp(_log_mgf(mu, var, s, rule, derivatives=False))
 
 

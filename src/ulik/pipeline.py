@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from . import channel, gaussian_approx, lognormal_sum
 from .errors import ValidationError
-from .gaussian_approx import GaussianApprox, RegionMoments, TauCertificate
+from .gaussian_approx import GaussianApprox, RegionMoments
 from .lognormal_sum import LognormalFit
 
 
@@ -13,7 +13,7 @@ from .lognormal_sum import LognormalFit
 class CellAnalysis:
     cell_id: str
     moments: RegionMoments
-    certificate: TauCertificate
+    tau: float
     component: GaussianApprox
 
 
@@ -24,8 +24,7 @@ class Analysis:
 
 
 def analyze(scenario, samples: int, *, m0: int = lognormal_sum.DEFAULT_ORDER,
-            s1: float = lognormal_sum.DEFAULT_S1, s2: float = lognormal_sum.DEFAULT_S2,
-            tau_threshold: float = gaussian_approx.DEFAULT_TAU_THRESHOLD) -> Analysis:
+            s1: float = lognormal_sum.DEFAULT_S1, s2: float = lognormal_sum.DEFAULT_S2) -> Analysis:
     """Run the chain on every interfering cell of the scenario.
 
     The chain draws nothing at random: ``samples`` is the accuracy target of
@@ -45,8 +44,7 @@ def analyze(scenario, samples: int, *, m0: int = lognormal_sum.DEFAULT_ORDER,
             moments = gaussian_approx.region_moments(
                 scenario.ue_region(cell.id), cell.bs, victim_bs,
                 scenario.channel, scenario.power, samples)
-            cells.append(CellAnalysis(cell.id, moments,
-                                      gaussian_approx.tau(moments, g, threshold=tau_threshold),
+            cells.append(CellAnalysis(cell.id, moments, gaussian_approx.tau(moments, g),
                                       gaussian_approx.interferer_gaussian(p0, moments, g)))
         except ValidationError as exc:
             raise ValidationError(f"cell {cell.id!r}: {exc}") from exc

@@ -43,6 +43,10 @@ class Cell:
     bs: Point
     region: Region  # as authored; the UE exclusion disk is applied lazily
 
+    def __post_init__(self):
+        if "/" in self.id or "\0" in self.id:  # `simulate --per-cell` writes cell_<id>.bin
+            raise ValidationError(f"cell id {self.id!r} contains '/' or NUL: it cannot name a file")
+
 
 @dataclass(frozen=True)
 class NetworkScenario:
@@ -240,15 +244,12 @@ def scenario_to_dict(scenario: NetworkScenario) -> dict:
     return {"format_version": FORMAT_VERSION, **_SCENARIO.write(scenario)}
 
 
-def load_scenario(source, lenient: bool = False) -> NetworkScenario:
-    """Load a scenario from a dict or a UTF-8 JSON file path."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise SchemaError(f"{source}: invalid JSON ({exc})") from exc
+def load_scenario(path, lenient: bool = False) -> NetworkScenario:
+    """Load a scenario from a UTF-8 JSON file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     return scenario_from_dict(doc, lenient=lenient)
 
 

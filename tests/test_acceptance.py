@@ -49,7 +49,7 @@ def b2_analysis():
         out[r] = {
             "scenario": sc,
             "moments": cell.moments,
-            "tau": cell.certificate.tau,
+            "tau": cell.tau,
             "q": cell.component,
         }
     return out
@@ -59,8 +59,8 @@ def b2_analysis():
 def hotspot():
     """Full B=84 pipeline: drop, per-cell analysis, aggregate fit, simulation."""
     sc = gen_hotspot(HotspotDropSpec(seed=HOTSPOT_SEED))
-    result = analyze(sc, 1_000_000, tau_threshold=0.02)
-    taus = [c.certificate.tau for c in result.cells]
+    result = analyze(sc, 1_000_000)
+    taus = [c.tau for c in result.cells]
     comps = [c.component for c in result.cells]
     sim = simulate(sc, SimConfig(n_samples=1_000_000, seed=99, threads=4))
     return {"scenario": sc, "taus": taus, "components": comps, "fit": result.fit, "sim": sim}
@@ -231,7 +231,7 @@ def test_criterion_7_invariant_suites(b2_analysis, hotspot, params, pc):
         p = ChannelParams(a_db, params.alpha, params.sigma_shad_sq)
         m = region_moments(sc.ue_region(cell.id), cell.bs, sc.victim_cell().bs,
                            p, pc, 100_000)
-        taus.append(tau(m, g).tau)
+        taus.append(tau(m, g))
     if abs(taus[0] - taus[1]) > 1e-9 * taus[0]:
         failures.append("tau not invariant under A offset")
 

@@ -345,11 +345,12 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("ulik: error: cell 'ring': acceptance rate")
 
     def test_tau_failures_do_not_fail_run(self, tmp_path, b2_scenario):
-        out = tmp_path / "strict"
-        assert run("analyze", b2_scenario, "--samples", 20_000,
-                   "--tau-threshold", 1e-6, "--out", out) == 0
-        rows = read_rows(out / "report.csv")
-        assert rows[0]["passes"] == "False"
+        for threshold, passes in ((1e-6, "False"), (1.0, "True")):
+            out = tmp_path / str(threshold)
+            assert run("analyze", b2_scenario, "--samples", 20_000,
+                       "--tau-threshold", threshold, "--out", out) == 0
+            (row,) = read_rows(out / "report.csv")
+            assert row["passes"] == passes
 
 
 class TestSimulate:
@@ -375,6 +376,19 @@ class TestSimulate:
         assert run("simulate", b2_scenario, "--samples", 0, "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err.startswith("ulik: error: ")
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("cell_id", ["sub/dir", "a\0b"], ids=["slash", "nul"])
+    def test_cell_id_that_cannot_name_a_dump(self, tmp_path, b2_scenario, monkeypatch, capsys,
+                                             cell_id):
+        doc = json.loads(b2_scenario.read_text())
+        doc["cells"][1]["id"] = cell_id
+        b2_scenario.write_text(json.dumps(doc))
+        monkeypatch.setattr(simulator, "simulate", lambda *args: pytest.fail("sampled"))
+        assert run("simulate", b2_scenario, "--samples", 100, "--per-cell",
+                   "--out", tmp_path / "sim") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"ulik: error: $.cells[1]: cell id {cell_id!r} contains '/' or NUL: "
+                        "it cannot name a file")
 
 
 class TestCompare:
@@ -434,8 +448,12 @@ class TestCompare:
         ("scenario_id,var_q\nx,4.0\n", None, None, "'mu_q'"),
         (FIT_HEADER + "x,1.0,0.1,12,abc,4.0,0.0,0.0,3,True\n", None, None, "'abc'"),
         (FIT_HEADER + "x,1.0,0.1,12,nan,4.0,0.0,0.0,3,True\n", None, None, "'nan'"),
+        (FIT_HEADER + "x,1.0,0.1,12,-80.0,-1.0,0.0,0.0,3,True\n", None, None,
+         "fit.csv: line 2, column 'var_q': need a finite mean and a finite nonnegative variance"),
         (FIT_HEADER + GOOD_FIT, "cell_id,var_qb\n7,4.0\n", None, "'mu_qb'"),
         (FIT_HEADER + GOOD_FIT, "mu_qb,var_qb\n-80.0,4.0\n", None, "'cell_id'"),
+        (FIT_HEADER + GOOD_FIT, "cell_id,mu_qb,var_qb\n7,-80.0,-1.0\n", None,
+         "report.csv: line 2, column 'var_qb': need a finite mean and a finite nonnegative"),
         (FIT_HEADER + GOOD_FIT, None, SAMPLE_DUMP_MAGIC + b"\x01\x00", "truncated"),
         (FIT_HEADER + GOOD_FIT, None,
          SAMPLE_DUMP_MAGIC + struct.pack("<Qd", 2, -80.0) + b"\x00" * 3, "truncated"),
@@ -445,9 +463,10 @@ class TestCompare:
          SAMPLE_DUMP_MAGIC + struct.pack("<Qddd", 3, -81.0, math.nan, -79.0), "non-finite"),
         (FIT_HEADER + GOOD_FIT, None,
          SAMPLE_DUMP_MAGIC + struct.pack("<Qdd", 2, -math.inf, -80.0), "non-finite"),
-    ], ids=["fit_no_mu_q", "fit_text_mu_q", "fit_nan_mu_q", "report_no_mu_qb",
-            "report_no_cell_id", "dump_short_header", "dump_partial_value", "dump_inf_value",
-            "dump_nan_value", "dump_minus_inf_value"])
+    ], ids=["fit_no_mu_q", "fit_text_mu_q", "fit_nan_mu_q", "fit_negative_var_q",
+            "report_no_mu_qb", "report_no_cell_id", "report_negative_var_qb",
+            "dump_short_header", "dump_partial_value", "dump_inf_value", "dump_nan_value",
+            "dump_minus_inf_value"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, fit_text, report_text,
                                      dump_bytes, message):
         good = EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0])
@@ -512,6 +531,10 @@ _BAD_INPUTS = {
                                   "tau threshold must be positive and finite, got nan"),
     "analyze_tau_threshold_negative": (None, [_ANALYZE + ["--tau-threshold", -1]],
                                        "tau threshold must be positive and finite, got -1.0"),
+    "analyze_tau_threshold_0": (None, [_ANALYZE + ["--tau-threshold", 0]],
+                                "tau threshold must be positive and finite, got 0.0"),
+    "analyze_tau_threshold_inf": (None, [_ANALYZE + ["--tau-threshold", "inf"]],
+                                  "tau threshold must be positive and finite, got inf"),
     "simulate_samples_2_61": (None, [["simulate", "b2.json", "--samples", 2**61, "--out", "sim"]],
                               f"at most 2**53 realizations, got {2**61}"),
     "compare_without_per_cell_dumps": (None, [

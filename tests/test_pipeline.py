@@ -25,7 +25,7 @@ def scenario():
 def test_matches_the_chain_step_by_step(scenario):
     """Each cell's moments at the given accuracy; the fit is referenced to P0."""
     sc = scenario
-    result = analyze(sc, 5_000, m0=20, s1=2.0, s2=0.5, tau_threshold=0.05)
+    result = analyze(sc, 5_000, m0=20, s1=2.0, s2=0.5)
     g = lognormal_exp_gaussian(combined_shadow_stats(sc.channel, sc.power))
     comps = []
     assert [c.cell_id for c in result.cells] == [c.id for c in sc.interfering_cells()]
@@ -33,7 +33,7 @@ def test_matches_the_chain_step_by_step(scenario):
         m = region_moments(sc.ue_region(cell.id), cell.bs, sc.victim_cell().bs,
                            sc.channel, sc.power, 5_000)
         assert got.moments == m
-        assert got.certificate == tau(m, g, threshold=0.05)
+        assert got.tau == tau(m, g)
         assert got.component == interferer_gaussian(sc.power.p0_dbm, m, g)
         comps.append(got.component)
     assert result.fit == fit_sum(comps, s1=2.0, s2=0.5, rule=gh_rule(20),

@@ -97,6 +97,15 @@ class TestLoadScenario:
                                               "least one child$"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("cell_id", ["sub/dir", "a\0b"], ids=["slash", "nul"])
+    def test_cell_id_must_name_a_file(self, tmp_path, cell_id):
+        doc = minimal_doc()
+        doc["cells"][1]["id"] = cell_id
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"^\$\.cells\[1\]: cell id .* cannot name a file$"):
+            load_scenario(path)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(minimal_doc()))
