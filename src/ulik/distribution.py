@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian_approx import GaussianApprox
-from .lognormal_sum import ZETA
+from .gaussian_approx import ZETA, GaussianApprox
 
 # The dB-domain Gaussian is gaussian_approx.GaussianApprox; this is a second
 # name for it.

@@ -18,6 +18,8 @@ MEAN_OFFSET_DB = -2.5
 STD_OFFSET_DB = 5.57
 # The surrogate is only rated accurate above this combined shadowing variance.
 SURROGATE_MIN_VARIANCE = 36.0
+# A power p is ZETA * ln(p) in dB.
+ZETA = 10.0 / math.log(10.0)
 
 # Region-moment quadrature: the first rule, and how often both of its node
 # counts may double to meet the accuracy a sample count asks for.

@@ -10,9 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian_approx import GaussianApprox
-
-ZETA = 10.0 / math.log(10.0)
+from .gaussian_approx import ZETA, GaussianApprox
 
 # analyze's defaults: the Gauss-Hermite order and the two design points.
 DEFAULT_ORDER = 12

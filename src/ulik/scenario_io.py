@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ _VALIDATION_PANELS = 16
 DEFAULT_MIN_BS_UE_DISTANCE = 0.005  # km
 _TYPE = "type"  # the key that tags a region node
 MAX_PLACEMENT_ATTEMPTS = 100_000  # BS candidates a hotspot drop tries before it gives up
+MAX_FILE_NAME_BYTES = 255  # the cap of common file systems, which cell_<id>.bin must meet
 
 DEFAULT_CHANNEL = ChannelParams(a_db=103.8, alpha=20.9, sigma_shad_sq=100.0, n_antennas=4)
 DEFAULT_POWER = PowerControl(p0_dbm=-76.0, eta=0.8)
@@ -44,8 +45,13 @@ class Cell:
     region: Region  # as authored; the UE exclusion disk is applied lazily
 
     def __post_init__(self):
-        if "/" in self.id or "\0" in self.id:  # `simulate --per-cell` writes cell_<id>.bin
+        # `simulate --per-cell` writes cell_<id>.bin.
+        if "/" in self.id or "\0" in self.id:
             raise ValidationError(f"cell id {self.id!r} contains '/' or NUL: it cannot name a file")
+        size = len(f"cell_{self.id}.bin".encode("utf-8", "surrogatepass"))
+        if size > MAX_FILE_NAME_BYTES:
+            raise ValidationError(f"cell id too long to name a file: cell_<id>.bin takes "
+                                  f"{size} bytes, more than {MAX_FILE_NAME_BYTES}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,15 @@ def _scalar(cls, what: str) -> _Kind:
     return _Kind(lambda value, path, lenient=False: _expect(value, cls, path, what), cls)
 
 
-_STRING = _scalar(str, "a string")
+def _read_string(value, path: str, lenient: bool = False) -> str:
+    try:
+        _expect(value, str, path, "a string").encode()
+    except UnicodeEncodeError:  # a lone surrogate, which a JSON string may hold
+        raise SchemaError(f"{path}: expected UTF-8 text, got {value!r}") from None
+    return value
+
+
+_STRING = _Kind(_read_string, str)
 
 
 def _read_point(value, path: str, lenient: bool = False) -> Point:
@@ -333,14 +347,17 @@ class HotspotDropSpec:
             else 1.5 * self.radius_r
 
 
-def _clipped_disk_region(i: int, positions: list[Point], r: float) -> Region:
-    """Reference disk clipped by perpendicular bisectors toward nearer BSs."""
+def _clipped_disk_region(i: int, positions: list[Point], r: float,
+                         near: Iterable[int] | None = None) -> Region:
+    """Reference disk clipped by perpendicular bisectors toward nearer BSs;
+    `near` lists, ascending, the BSs that may lie within 2r (default: all)."""
     bs = positions[i]
     disk = Disk(bs, r)
     planes: list[Region] = []
-    for j, other in enumerate(positions):
+    for j in range(len(positions)) if near is None else near:
         if j == i:
             continue
+        other = positions[j]
         dx, dy = other.x - bs.x, other.y - bs.y
         dist = math.hypot(dx, dy)
         if dist == 0:
@@ -352,9 +369,36 @@ def _clipped_disk_region(i: int, positions: list[Point], r: float) -> Region:
     return Intersection((disk, *planes)) if planes else disk
 
 
+def _near_lists(positions: list[Point], r: float) -> list[Iterable[int]]:
+    """For each BS, the ascending indices of the BSs that may lie within 2r.
+
+    Buckets a hair wider than 2r keep rounding from putting two BSs less
+    than 2r apart more than one bucket apart, so each BS needs only its own
+    bucket and the 8 around it.  A non-finite value, or a coordinate 2^30
+    buckets out, where rounding could, lists every BS."""
+    size = 2.0 * r * (1.0 + 2.0**-20)
+    every = [range(len(positions))] * len(positions)
+    if not 0 < size < math.inf:
+        return every
+    keys = []
+    for p in positions:
+        kx, ky = p.x / size, p.y / size
+        if not (abs(kx) < 2.0**30 and abs(ky) < 2.0**30):
+            return every
+        keys.append((math.floor(kx), math.floor(ky)))
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for j, key in enumerate(keys):
+        buckets.setdefault(key, []).append(j)
+    return [sorted(j for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                   for j in buckets.get((kx + dx, ky + dy), ()))
+            for kx, ky in keys]
+
+
 def _disk_cells(positions: list[Point], r: float) -> tuple[Cell, ...]:
     """Cells "cell_00", "cell_01", ... with clipped reference-disk regions."""
-    return tuple(Cell(id=f"cell_{i:02d}", bs=p, region=_clipped_disk_region(i, positions, r))
+    near = _near_lists(positions, r)
+    return tuple(Cell(id=f"cell_{i:02d}", bs=p,
+                      region=_clipped_disk_region(i, positions, r, near[i]))
                  for i, p in enumerate(positions))
 
 

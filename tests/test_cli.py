@@ -186,6 +186,91 @@ class TestStartup:
         assert self.loaded_modules(gen, tmp_path / "gen.json") == (
             "['ulik.geometry', 'ulik.channel', 'ulik.scenario_io']")
 
+    def test_only_analyze_loads_the_lognormal_fit(self, tmp_path):
+        scenario = tmp_path / "hs.json"
+        save_scenario(gen_hotspot(HotspotDropSpec(n_cells=6, seed=1)), scenario)
+        assert run("simulate", scenario, "--samples", 2000, "--per-cell", "--raw",
+                   "--out", tmp_path / "sim") == 0
+        assert run("analyze", scenario, "--samples", 2000, "--out", tmp_path / "ana") == 0
+        commands = {
+            "gen": ["gen", "hotspot", "--cells", "6", "-o", "gen.json"],
+            "simulate": ["simulate", "hs.json", "--samples", "2000", "--out", "sim2"],
+            "analyze": ["analyze", "hs.json", "--samples", "2000", "--out", "ana2"],
+            "compare": ["compare", "--fit", "ana/fit.csv", "--report", "ana/report.csv",
+                        "--samples", "sim/samples.bin", "--per-cell-dir", "sim",
+                        "--out", "cmp"],
+        }
+        loaded = {}
+        for name, argv in commands.items():  # each in a fresh process
+            script = ("import sys, ulik.cli\n"
+                      f"assert ulik.cli.main({argv!r}) == 0\n"
+                      "print('ulik.lognormal_sum' in sys.modules)\n")
+            done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                                  env=_subprocess_env(), capture_output=True, text=True,
+                                  check=True)
+            loaded[name] = done.stdout.splitlines()[-1]
+        assert loaded == {"gen": "False", "simulate": "False", "analyze": "True",
+                          "compare": "False"}
+
+
+class TestEntry:
+    """`python -m ulik.cli` and the `ulik` command go through cli.run."""
+
+    def cli(self, tmp_path, *argv, env=None, **kwargs):
+        return subprocess.run([sys.executable, "-m", *map(str, argv)], cwd=tmp_path,
+                              env=env or _subprocess_env(), **kwargs)
+
+    def test_through_pipes(self, tmp_path):
+        done = self.cli(tmp_path, "ulik.cli", "gen", "single", "--r", 0.02, "-o", "s.json",
+                        capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == ["cells=2", "victim=victim", "path=s.json"]
+        done = self.cli(tmp_path, "ulik.cli", "gen", "single", "--r", -1, "-o", "s.json",
+                        capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (2, "")
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("ulik: error: ")
+
+    def test_closed_stdout_is_an_error_line(self, tmp_path):
+        # With the reader gone, the summary lines fail only when flushed.
+        env = _subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self.cli(tmp_path, "ulik.cli", "gen", "single", "--r", 0.02, "-o", "s.json",
+                            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["ulik: error: [Errno 32] Broken pipe"]
+
+    def test_profiler_writes_its_output(self, tmp_path):
+        done = self.cli(tmp_path, "cProfile", "-o", "prof.out", "-m", "ulik.cli", "gen",
+                        "single", "--r", 0.02, "-o", "s.json", capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "s.json").exists()
+        assert (tmp_path / "prof.out").stat().st_size > 0
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_exit_skips_teardown_unless_traced(self, tmp_path, traced):
+        # atexit handlers run only when the interpreter is torn down.
+        script = ("import atexit, runpy, sys\n"
+                  "atexit.register(lambda: print('torn down'))\n"
+                  + ("sys.settrace(lambda *args: None)\n" if traced else "")
+                  + "sys.argv = ['ulik', 'gen', 'single', '--r', '0.02', '-o', 's.json']\n"
+                  "runpy.run_module('ulik.cli', run_name='__main__')\n")
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=_subprocess_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == (["cells=2", "victim=victim", "path=s.json"]
+                                            + ["torn down"] * traced)
+
+    def test_main_returns_its_code(self, tmp_path, capsys):
+        assert main(["gen", "single", "--r", "0.02", "-o", str(tmp_path / "s.json")]) == 0
+        assert main(["gen", "single", "--r", "-1", "-o", str(tmp_path / "s.json")]) == 2
+        assert capsys.readouterr().err.startswith("ulik: error: ")
+
 
 def _no_library(name):
     raise OSError("no C library")
@@ -314,6 +399,23 @@ class TestAnalyze:
         assert "converge" in err
         assert not (tmp_path / "cmp").exists()
 
+    def test_fit_names_its_design_point(self, tmp_path, b2_scenario):
+        assert run("analyze", b2_scenario, "--samples", 2000, "--out", tmp_path / "a") == 0
+        assert run("analyze", b2_scenario, "--samples", 2000, "--m0", 8, "--s1", 2,
+                   "--s2", 0.5, "--out", tmp_path / "b") == 0
+        design = [[read_rows(tmp_path / d / "fit.csv")[0][k] for k in ("s1", "s2", "m0")]
+                  for d in ("a", "b")]
+        assert design == [["1.0", "0.1", "12"], ["2.0", "0.5", "8"]]
+
+    def test_label_that_is_not_utf8_text(self, tmp_path, b2_scenario, capsys):
+        # analyze writes the generator label into fit.csv.
+        doc = json.loads(b2_scenario.read_text())
+        doc["metadata"]["generator"] = "\ud800"
+        b2_scenario.write_text(json.dumps(doc))
+        assert run("analyze", b2_scenario, "--samples", 1000, "--out", tmp_path / "ana") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "ulik: error: $.metadata.generator: expected UTF-8 text, got '\\ud800'"
+
     def test_seed_has_no_effect(self, tmp_path, b2_scenario):
         for seed in (1, 2):
             assert run("analyze", b2_scenario, "--samples", 20_000, "--seed", seed,
@@ -389,6 +491,22 @@ class TestSimulate:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == (f"ulik: error: $.cells[1]: cell id {cell_id!r} contains '/' or NUL: "
                         "it cannot name a file")
+
+    @pytest.mark.parametrize("cell_id, message", [
+        ("x" * 300, "$.cells[1]: cell id too long to name a file: cell_<id>.bin takes "
+                    "309 bytes, more than 255"),
+        ("\ud800x", "$.cells[1].id: expected UTF-8 text, got '\\ud800x'"),
+    ], ids=["300-bytes", "lone-surrogate"])
+    def test_cell_id_no_file_system_takes(self, tmp_path, b2_scenario, monkeypatch, capsys,
+                                          cell_id, message):
+        doc = json.loads(b2_scenario.read_text())
+        doc["cells"][1]["id"] = cell_id
+        b2_scenario.write_text(json.dumps(doc))
+        monkeypatch.setattr(simulator, "simulate", lambda *args: pytest.fail("sampled"))
+        assert run("simulate", b2_scenario, "--samples", 100, "--per-cell",
+                   "--out", tmp_path / "sim") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"ulik: error: {message}"
 
 
 class TestCompare:

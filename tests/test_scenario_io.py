@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from ulik import scenario_io
 from ulik.errors import SchemaError, UlikError, ValidationError
-from ulik.geometry import Disk, sample_uniform_xy
+from ulik.geometry import Disk, HalfPlane, Intersection, Point, sample_uniform_xy
 from ulik.scenario_io import (
     HotspotDropSpec,
     gen_hex_grid,
     gen_hotspot,
     gen_single_interferer,
     load_scenario,
+    region_to_dict,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -104,6 +105,33 @@ class TestLoadScenario:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=r"^\$\.cells\[1\]: cell id .* cannot name a file$"):
+            load_scenario(path)
+
+    # cell_<id>.bin: 9 bytes around the id, 255 in all.
+    @pytest.mark.parametrize("cell_id, loads", [
+        ("x" * 246, True), ("x" * 247, False), ("x" * 300, False),
+        ("\u00e9" * 123, True), ("\u00e9" * 124, False),  # two UTF-8 bytes each
+    ], ids=["246", "247", "300", "246-bytes-utf8", "248-bytes-utf8"])
+    def test_cell_id_length_is_a_file_name_limit(self, tmp_path, cell_id, loads):
+        doc = minimal_doc()
+        doc["cells"][1]["id"] = cell_id
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        if loads:
+            assert load_scenario(path).cells[1].id == cell_id
+            (tmp_path / f"cell_{cell_id}.bin").write_bytes(b"")  # the name is usable
+        else:
+            with pytest.raises(SchemaError, match=r"^\$\.cells\[1\]: cell id too long to "
+                                                  r"name a file: cell_<id>\.bin takes \d+ "
+                                                  r"bytes, more than 255$"):
+                load_scenario(path)
+
+    def test_cell_id_must_be_utf8_text(self, tmp_path):
+        doc = minimal_doc()
+        doc["cells"][1]["id"] = "\ud800x"  # valid JSON, but no file name holds it
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"^\$\.cells\[1\]\.id: expected UTF-8 text"):
             load_scenario(path)
 
     def test_load_from_file(self, tmp_path):
@@ -292,6 +320,68 @@ class TestGenHotspot:
         with pytest.raises(ValidationError, match="infeasible drop"):
             gen_hotspot(HotspotDropSpec(n_cells=50, radius_r=0.2, area_km=(0.1, 0.1),
                                         min_bs_bs_distance=0.3, seed=0))
+
+
+def _brute_force_disk_region(i, positions, r):
+    """Disk i clipped toward every other BS within 2r, found by testing all of them."""
+    bs = positions[i]
+    planes = []
+    for j, other in enumerate(positions):
+        if j == i:
+            continue
+        dx, dy = other.x - bs.x, other.y - bs.y
+        dist = math.hypot(dx, dy)
+        if dist == 0:
+            raise ValidationError(f"two BSs share the position ({bs.x}, {bs.y})")
+        if dist < 2.0 * r:
+            planes.append(HalfPlane(Point(bs.x + dx / 2, bs.y + dy / 2),
+                                    Point(-dx / dist, -dy / dist)))
+    return Intersection((Disk(bs, r), *planes)) if planes else Disk(bs, r)
+
+
+def _outcome(regions):
+    """The regions as JSON, or the message of the error that refused them."""
+    try:
+        return [region_to_dict(region) for region in regions()]
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestDiskClipping:
+    """The bucketed neighbour search finds the same bisectors as testing every BS."""
+
+    def assert_matches_brute_force(self, positions, r):
+        assert _outcome(lambda: [c.region for c in scenario_io._disk_cells(positions, r)]) == (
+            _outcome(lambda: [_brute_force_disk_region(i, positions, r)
+                              for i in range(len(positions))]))
+
+    @pytest.mark.parametrize("n_cells, r, side, seed", [
+        (84, 0.02, 0.5, 2), (12, 0.05, 1.0, 7), (160, 0.01, 0.3, 11), (30, 0.02, 0.25, 3),
+    ])
+    def test_hotspot_drops(self, n_cells, r, side, seed):
+        sc = gen_hotspot(HotspotDropSpec(n_cells=n_cells, radius_r=r, area_km=(side, side),
+                                         seed=seed))
+        self.assert_matches_brute_force([c.bs for c in sc.cells], r)
+
+    @pytest.mark.parametrize("pitch", [0.03, 0.04, 0.05, 0.0399999])
+    def test_hex_grids(self, pitch):
+        sc = gen_hex_grid(4, pitch=pitch, r=0.02)
+        self.assert_matches_brute_force([c.bs for c in sc.cells], 0.02)
+
+    def test_far_from_the_origin(self):
+        # 2^30 buckets out the search falls back to every BS.
+        positions = [Point(1e9, 5.0), Point(1e9 + 0.03, 5.0), Point(1e9, 5.03)]
+        self.assert_matches_brute_force(positions, 0.02)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                    min_size=2, max_size=12),
+           st.sampled_from([0.01, 0.02, 0.025, 0.1 / 3]))
+    def test_pairs_near_2r_and_on_bucket_edges(self, steps, r):
+        # Points on a 0.005 km lattice: many pairs lie at or near 2r, or on
+        # a bucket edge, and repeated points must raise the same error.
+        positions = [Point(0.005 * i, 0.005 * j) for i, j in steps]
+        self.assert_matches_brute_force(positions, r)
 
 
 class TestGenHexGrid:
