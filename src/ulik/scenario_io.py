@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -298,9 +298,8 @@ def gen_single_interferer(r: float, shape: str = "disk") -> NetworkScenario:
     """
     victim_bs = Point(0.0, 0.0)
     interf_bs = Point(1.5 * r, 0.0)
-    positions = [victim_bs, interf_bs]
     if shape == "disk":
-        region: Region = _clipped_disk_region(1, positions, r)
+        region: Region = _clipped_disk_region(interf_bs, [victim_bs], r)
     elif shape == "paper_irregular":
         region = Intersection((
             _square(interf_bs, r),
@@ -310,7 +309,8 @@ def gen_single_interferer(r: float, shape: str = "disk") -> NetworkScenario:
         ))
     else:
         raise ValidationError(f"unknown single-interferer shape {shape!r}")
-    cells = (Cell(id="victim", bs=victim_bs, region=_clipped_disk_region(0, positions, r)),
+    cells = (Cell(id="victim", bs=victim_bs,
+                  region=_clipped_disk_region(victim_bs, [interf_bs], r)),
              Cell(id="interferer", bs=interf_bs, region=region))
     return _network(cells, "victim", generator="single_interferer", shape=shape,
                     radius_km=str(r))
@@ -347,17 +347,12 @@ class HotspotDropSpec:
             else 1.5 * self.radius_r
 
 
-def _clipped_disk_region(i: int, positions: list[Point], r: float,
-                         near: Iterable[int] | None = None) -> Region:
-    """Reference disk clipped by perpendicular bisectors toward nearer BSs;
-    `near` lists, ascending, the BSs that may lie within 2r (default: all)."""
-    bs = positions[i]
+def _clipped_disk_region(bs: Point, others: list[Point], r: float) -> Region:
+    """Reference disk around `bs` clipped by perpendicular bisectors toward
+    the nearer of the `others`, in their order."""
     disk = Disk(bs, r)
     planes: list[Region] = []
-    for j in range(len(positions)) if near is None else near:
-        if j == i:
-            continue
-        other = positions[j]
+    for other in others:
         dx, dy = other.x - bs.x, other.y - bs.y
         dist = math.hypot(dx, dy)
         if dist == 0:
@@ -369,37 +364,19 @@ def _clipped_disk_region(i: int, positions: list[Point], r: float,
     return Intersection((disk, *planes)) if planes else disk
 
 
-def _near_lists(positions: list[Point], r: float) -> list[Iterable[int]]:
-    """For each BS, the ascending indices of the BSs that may lie within 2r.
-
-    Buckets a hair wider than 2r keep rounding from putting two BSs less
-    than 2r apart more than one bucket apart, so each BS needs only its own
-    bucket and the 8 around it.  A non-finite value, or a coordinate 2^30
-    buckets out, where rounding could, lists every BS."""
-    size = 2.0 * r * (1.0 + 2.0**-20)
-    every = [range(len(positions))] * len(positions)
-    if not 0 < size < math.inf:
-        return every
-    keys = []
-    for p in positions:
-        kx, ky = p.x / size, p.y / size
-        if not (abs(kx) < 2.0**30 and abs(ky) < 2.0**30):
-            return every
-        keys.append((math.floor(kx), math.floor(ky)))
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for j, key in enumerate(keys):
-        buckets.setdefault(key, []).append(j)
-    return [sorted(j for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                   for j in buckets.get((kx + dx, ky + dy), ()))
-            for kx, ky in keys]
-
-
 def _disk_cells(positions: list[Point], r: float) -> tuple[Cell, ...]:
     """Cells "cell_00", "cell_01", ... with clipped reference-disk regions."""
-    near = _near_lists(positions, r)
-    return tuple(Cell(id=f"cell_{i:02d}", bs=p,
-                      region=_clipped_disk_region(i, positions, r, near[i]))
-                 for i, p in enumerate(positions))
+    xy = np.array([(p.x, p.y) for p in positions]).reshape(-1, 2)
+    cells = []
+    with np.errstate(over="ignore"):  # an offset may overflow to inf, which is far
+        for i, bs in enumerate(positions):
+            # A BS more than 2r away along an axis is at least that far away,
+            # so its bisector cannot cut the disk.
+            far = np.abs(xy - xy[i]).max(axis=1) > 2.0 * r
+            others = [positions[j] for j in np.flatnonzero(~far) if j != i]
+            cells.append(Cell(id=f"cell_{i:02d}", bs=bs,
+                              region=_clipped_disk_region(bs, others, r)))
+    return tuple(cells)
 
 
 def _network(cells: tuple[Cell, ...], victim_id: str, **metadata) -> NetworkScenario:

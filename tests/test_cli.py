@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ulik
-from ulik import simulator
+from ulik import cli, simulator
 from ulik.cli import main
 from ulik.distribution import EmpiricalDistribution
 from ulik.geometry import Difference, Disk, Point
@@ -265,6 +265,45 @@ class TestEntry:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines() == (["cells=2", "victim=victim", "path=s.json"]
                                             + ["torn down"] * traced)
+
+    def test_closed_stdout_under_a_profiler(self, tmp_path):
+        # The error line, then a normal exit that must not meet the broken
+        # pipe again (that would add "Exception ignored" lines and exit 120).
+        env = _subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self.cli(tmp_path, "cProfile", "-o", "prof.out", "-m", "ulik.cli", "gen",
+                            "single", "--r", 0.02, "-o", "s.json",
+                            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert done.stderr.splitlines() == ["ulik: error: [Errno 32] Broken pipe"]
+        assert done.returncode == 0  # cProfile's runner drops the code of a SystemExit
+        assert (tmp_path / "prof.out").stat().st_size > 0
+
+    @pytest.mark.parametrize("tool", [None, "coverage"])
+    def test_a_monitoring_tool_counts_as_observed(self, monkeypatch, tool):
+        # Python 3.12+ tools watch through sys.monitoring, not a trace function.
+        monkeypatch.setattr(sys, "gettrace", lambda: None)
+        monkeypatch.setattr(sys, "getprofile", lambda: None)
+        fake = type("Monitoring", (), {
+            "get_tool": staticmethod(lambda i: tool if i == 1 else None)})
+        monkeypatch.setattr(sys, "monitoring", fake, raising=False)
+        assert cli._observed() is (tool is not None)
+
+    @pytest.mark.skipif(not hasattr(sys, "monitoring"), reason="sys.monitoring is Python 3.12+")
+    def test_exit_tears_down_under_a_monitoring_tool(self, tmp_path):
+        script = ("import atexit, runpy, sys\n"
+                  "atexit.register(lambda: print('torn down'))\n"
+                  "sys.monitoring.use_tool_id(sys.monitoring.COVERAGE_ID, 'fake')\n"
+                  "sys.argv = ['ulik', 'gen', 'single', '--r', '0.02', '-o', 's.json']\n"
+                  "runpy.run_module('ulik.cli', run_name='__main__')\n")
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=_subprocess_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == "torn down"
 
     def test_main_returns_its_code(self, tmp_path, capsys):
         assert main(["gen", "single", "--r", "0.02", "-o", str(tmp_path / "s.json")]) == 0

@@ -348,7 +348,8 @@ def _outcome(regions):
 
 
 class TestDiskClipping:
-    """The bucketed neighbour search finds the same bisectors as testing every BS."""
+    """Testing only the BSs within 2r along both axes finds the same bisectors as
+    testing every BS."""
 
     def assert_matches_brute_force(self, positions, r):
         assert _outcome(lambda: [c.region for c in scenario_io._disk_cells(positions, r)]) == (
@@ -369,8 +370,12 @@ class TestDiskClipping:
         self.assert_matches_brute_force([c.bs for c in sc.cells], 0.02)
 
     def test_far_from_the_origin(self):
-        # 2^30 buckets out the search falls back to every BS.
+        # Far out, an offset of 0.03 km is rounded to a few ulps of 1e9.
         positions = [Point(1e9, 5.0), Point(1e9 + 0.03, 5.0), Point(1e9, 5.03)]
+        self.assert_matches_brute_force(positions, 0.02)
+
+    def test_offsets_beyond_the_float_range(self):
+        positions = [Point(-1e308, 0.0), Point(1e308, 0.0), Point(1e308, 0.01)]
         self.assert_matches_brute_force(positions, 0.02)
 
     @settings(max_examples=200, deadline=None)
