@@ -60,6 +60,13 @@ def cmd_analyze(args) -> int:
     if not 0 < threshold < math.inf:
         raise ValidationError(f"tau threshold must be positive and finite, got {threshold}")
     scenario = scenario_io.load_scenario(args.scenario, lenient=args.lenient)
+    # fit.csv names the scenario by its generator label, else by its file's name.
+    scenario_id = scenario.metadata.get("generator", Path(str(args.scenario)).stem)
+    try:
+        scenario_id.encode()
+    except UnicodeEncodeError:  # a file name that is not UTF-8; the label was checked at load
+        raise ValidationError(f"file name {scenario_id!r} is not UTF-8 text, so it cannot "
+                              "name the scenario in fit.csv; give it a generator label") from None
     t0 = time.monotonic()
 
     result = pipeline.analyze(scenario, args.samples, m0=m0, s1=s1, s2=s2)
@@ -75,7 +82,6 @@ def cmd_analyze(args) -> int:
                ["cell_id", "mu_l", "var_l", "abs3_l", "tau", "passes",
                 "mu_qb", "var_qb", "se_mu_l", "se_var_l", "se_abs3_l", "nodes"],
                rows)
-    scenario_id = scenario.metadata.get("generator", Path(str(args.scenario)).stem)
     _write_csv(out / "fit.csv",
                ["scenario_id", "s1", "s2", "m0", "mu_q", "var_q",
                 "residual1", "residual2", "iterations", "converged"],

@@ -63,6 +63,9 @@ class NetworkScenario:
     min_bs_ue_distance: float = DEFAULT_MIN_BS_UE_DISTANCE
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_by_id", {c.id: c for c in self.cells})
+
     def victim_cell(self) -> Cell:
         return self.cell(self.victim_cell_id)
 
@@ -70,10 +73,9 @@ class NetworkScenario:
         return [c for c in self.cells if c.id != self.victim_cell_id]
 
     def cell(self, cell_id: str) -> Cell:
-        for c in self.cells:
-            if c.id == cell_id:
-                return c
-        raise ValidationError(f"no cell with id {cell_id!r}")
+        if cell_id not in self._by_id:
+            raise ValidationError(f"no cell with id {cell_id!r}")
+        return self._by_id[cell_id]
 
     def ue_region(self, cell_id: str) -> Region:
         """The cell's region minus the UE exclusion disk around its own BS."""
@@ -82,12 +84,11 @@ class NetworkScenario:
 
 
 def _validate(scenario: NetworkScenario) -> NetworkScenario:
-    ids = [c.id for c in scenario.cells]
-    if len(set(ids)) != len(ids):
+    if len(scenario._by_id) != len(scenario.cells):
         raise ValidationError("cell ids must be unique")
-    if scenario.victim_cell_id not in ids:
+    if scenario.victim_cell_id not in scenario._by_id:
         raise ValidationError(f"victim cell {scenario.victim_cell_id!r} is not present")
-    if len(ids) < 2:
+    if len(scenario.cells) < 2:
         raise ValidationError("a scenario needs at least 2 cells")
     if not scenario.min_bs_ue_distance > 0:
         raise ValidationError("min BS-to-UE distance must be positive")
@@ -426,9 +427,7 @@ def gen_hex_grid(n_rings: int, pitch: float, r: float) -> NetworkScenario:
     positions = [Point(0.0, 0.0)]
     for q in range(-n_rings, n_rings + 1):
         for s in range(-n_rings, n_rings + 1):
-            if q == 0 and s == 0:
-                continue
-            if abs(q + s) > n_rings or abs(q) > n_rings or abs(s) > n_rings:
+            if q == s == 0 or abs(q + s) > n_rings:  # |q|, |s| <= n_rings by the ranges
                 continue
             x = pitch * (q + s / 2.0)
             y = pitch * s * math.sqrt(3.0) / 2.0

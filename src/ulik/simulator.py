@@ -8,6 +8,13 @@ SeedSequence keys (seed, cell index, variate kind), and the cells' linear
 powers are summed in fixed cell order, so results are bit-identical for a
 fixed (seed, n_samples) regardless of worker count.  Hotspot drops keep their
 Philox stream, so a seed still names one scenario file.  Only numpy is needed.
+
+``SimConfig.threads`` splits the work by cell: a worker draws whole blocks of
+one cell.  With fewer cells than threads it also splits within a cell: the
+positions of a cell's next block are drawn while the rest of its current
+block (shadowing, fading, kernel, linear power) runs.  With more than one
+thread, the pool also sorts the per-cell samples while the caller sorts the
+aggregate.
 """
 
 import math
@@ -92,13 +99,18 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
     aggregate = np.empty(n)
     per_cell = {c.id: np.empty(n) for c in interferers} if cfg.record_per_cell else None
 
-    def linear_power(state, start, m):
+    def positions(state, m, last):
+        last.result()  # a cell's position stream draws its blocks in order
+        return geometry.sample_uniform_xy(state[1], state[2], m)
+
+    def linear_power(state, start, m, xy=None):
         # The cell's dB block x from its three streams, then 10^((x - P0)/10)
         # formed in place; P0 is the receive level a link with L = 0 and no
-        # shadowing or fading reaches.
+        # shadowing or fading reaches.  xy, if given, is the task drawing
+        # the block's positions.
         cell, region, rng_pos, rng_s, rng_h = state
         try:
-            xs, ys = geometry.sample_uniform_xy(region, rng_pos, m)
+            xs, ys = geometry.sample_uniform_xy(region, rng_pos, m) if xy is None else xy.result()
             s = shadow_sd * rng_s.standard_normal(m)
             h = _exponential(rng_h, m)
             x = channel.interference_db(pc, params, xs, ys, cell.bs, victim_bs, s, h)
@@ -113,29 +125,56 @@ def simulate(scenario, cfg: SimConfig) -> SimResult:
         with np.errstate(over="ignore"):
             return np.exp(x, out=x)
 
+    def log_sum(terms):
+        # Summed in fixed cell order, then one log.  Its arrays are freed on
+        # return, before the next block's tasks run.
+        total = next(terms)
+        for term in terms:
+            total += term
+        with np.errstate(divide="ignore", over="ignore"):
+            block = p0 + 10.0 * np.log10(total)
+        if not np.isfinite(block).all():
+            raise ValidationError("aggregate interference leaves the floating-point "
+                                  "range around the power basis P0")
+        return block
+
     # With one thread the blocks run on the calling thread, the only one the
     # benchmark's tracer records; the pool then starts no worker, and map
     # draws each cell's block only when the sum below reaches it.
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    # With fewer cells than threads the cells cannot keep the pool busy, so
+    # each cell's block is split: its positions are one task and the rest of
+    # the block another, and the next block's positions are drawn while the
+    # rest of this one runs.  That holds one prefetched block per cell.  A
+    # task waits only on tasks submitted before it, which the pool's FIFO
+    # queue has started, so the waits cannot deadlock.
+    split = len(cells) < cfg.threads and n > _BLOCK
+    pool = ThreadPoolExecutor(max_workers=cfg.threads)
+    try:
         run = pool.map if cfg.threads > 1 else map
+        xy = split and [pool.submit(geometry.sample_uniform_xy, state[1], state[2], _BLOCK)
+                        for state in cells]
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            terms = run(lambda state: linear_power(state, start, m), cells)
-            # Summed in fixed cell order, then one log.
-            total = next(terms)
-            for term in terms:
-                total += term
-            with np.errstate(divide="ignore", over="ignore"):
-                block = p0 + 10.0 * np.log10(total)
-            if not np.isfinite(block).all():
-                raise ValidationError("aggregate interference leaves the floating-point "
-                                      "range around the power basis P0")
-            aggregate[start : start + m] = block
+            if split:
+                futures = [pool.submit(linear_power, state, start, m, f)
+                           for state, f in zip(cells, xy)]
+                if start + m < n:
+                    xy = [pool.submit(positions, state, min(_BLOCK, n - start - m), f)
+                          for state, f in zip(cells, xy)]
+                terms = (f.result() for f in futures)  # errors in (block, cell) order
+            else:
+                terms = run(lambda state: linear_power(state, start, m), cells)
+            aggregate[start : start + m] = log_sum(terms)
 
-    # from_samples sorts these arrays in place; nothing here reads them again.
-    per_cell_db = None if per_cell is None else {
-        cid: EmpiricalDistribution.from_samples(v) for cid, v in per_cell.items()}
-    return SimResult(EmpiricalDistribution.from_samples(aggregate), per_cell_db)
+        # from_samples sorts these arrays in place; nothing here reads them
+        # again.  With threads, the pool sorts the cells' arrays while this
+        # thread sorts the aggregate.
+        sorted_cells = per_cell and run(EmpiricalDistribution.from_samples, per_cell.values())
+        aggregate_dbm = EmpiricalDistribution.from_samples(aggregate)
+        per_cell_db = per_cell and dict(zip(per_cell, sorted_cells))
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an error, drop the tasks not yet started
+    return SimResult(aggregate_dbm, per_cell_db)
 
 
 def simulate_shadow_fading_product(

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ulik
-from ulik import cli, simulator
+from ulik import cli, pipeline, simulator
 from ulik.cli import main
 from ulik.distribution import EmpiricalDistribution
 from ulik.geometry import Difference, Disk, Point
@@ -455,6 +455,20 @@ class TestAnalyze:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "ulik: error: $.metadata.generator: expected UTF-8 text, got '\\ud800'"
 
+    def test_file_name_that_is_not_utf8_text(self, tmp_path, b2_scenario, monkeypatch, capsys):
+        # Without a generator label, fit.csv names the scenario by its file's
+        # name, which is checked before the analysis runs.
+        doc = json.loads(b2_scenario.read_text())
+        del doc["metadata"]["generator"]
+        path = tmp_path / os.fsdecode(b"sc\xff.json")
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(pipeline, "analyze", lambda *args, **kwargs: pytest.fail("analysed"))
+        assert run("analyze", path, "--samples", 1000, "--out", tmp_path / "ana") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("ulik: error: file name 'sc\\udcff' is not UTF-8 text, so it cannot "
+                        "name the scenario in fit.csv; give it a generator label")
+        assert not (tmp_path / "ana").exists()
+
     def test_seed_has_no_effect(self, tmp_path, b2_scenario):
         for seed in (1, 2):
             assert run("analyze", b2_scenario, "--samples", 20_000, "--seed", seed,
@@ -512,6 +526,21 @@ class TestSimulate:
         (cell_file,) = out.glob("cell_*.bin")
         cell = read_samples(cell_file)
         assert sorted(cell.samples) == pytest.approx(list(agg.samples), abs=1e-12)
+
+    def test_two_threads_finish_and_match_one(self, tmp_path):
+        # One cell over three blocks, so that two threads split it.  A pool
+        # that deadlocks fails here at the timeout instead of hanging the suite.
+        sc = tmp_path / "irregular.json"
+        save_scenario(gen_single_interferer(0.02, shape="paper_irregular"), sc)
+        for threads in (1, 2):
+            done = subprocess.run(
+                [sys.executable, "-m", "ulik.cli", "simulate", str(sc), "--samples",
+                 str(2 * simulator._BLOCK + 1000), "--seed", "3", "--per-cell", "--raw",
+                 "--threads", str(threads), "--out", str(tmp_path / str(threads))],
+                env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stderr) == (0, "")
+        for name in ("samples.bin", "cell_interferer.bin", "empirical_cdf.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_zero_samples_rejected(self, tmp_path, b2_scenario, capsys):
         assert run("simulate", b2_scenario, "--samples", 0, "--out", tmp_path / "x") == 2

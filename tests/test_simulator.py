@@ -1,6 +1,10 @@
+import collections
+import concurrent.futures
 import math
 import os
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -50,6 +54,54 @@ def four_cell_scenario():
     return NetworkScenario(cells=cells, victim_cell_id="c1",
                            channel=ChannelParams(103.8, 20.9, 100.0),
                            power=PowerControl(-76.0, 0.8))
+
+
+def ring_scenario(k):
+    """Victim c1 at the origin and k interferers c2, c3, ... around it."""
+    cells = [Cell("c1", Point(0.0, 0.0), Disk(Point(0.004, 0.0), 0.002))]
+    for i in range(k):
+        u = Point(math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k))
+        cells.append(Cell(f"c{i + 2}", Point(0.05 * u.x, 0.05 * u.y),
+                          Disk(Point(0.045 * u.x, 0.045 * u.y), 0.005)))
+    return NetworkScenario(cells=tuple(cells), victim_cell_id="c1",
+                           channel=ChannelParams(103.8, 20.9, 100.0),
+                           power=PowerControl(-76.0, 0.8))
+
+
+def before_each_step(monkeypatch, sc, act):
+    """Call act(cell id, block, step) before every draw of a cell's block
+    positions (step "positions") and every channel.interference_db of a
+    block (step "rest"); the blocks of a cell count from 0."""
+    by_region = {id(c.region): c.id for c in sc.cells}
+    by_bs = {c.bs: c.id for c in sc.cells}
+    calls = collections.Counter()
+    sample, interference = geometry.sample_uniform_xy, channel.interference_db
+
+    def step(cid, name):
+        calls[cid, name] += 1  # a cell's steps of one kind never run at once
+        act(cid, calls[cid, name] - 1, name)
+
+    def positions(region, rng, n):
+        step(by_region[id(region.left)], "positions")
+        return sample(region, rng, n)
+
+    def rest(pc, params, xs, ys, bs, *args):
+        step(by_bs[bs], "rest")
+        return interference(pc, params, xs, ys, bs, *args)
+
+    monkeypatch.setattr(geometry, "sample_uniform_xy", positions)
+    monkeypatch.setattr(channel, "interference_db", rest)
+
+
+def fail_at(*steps):
+    """An act for before_each_step that fails the given (cell id, block, step)s."""
+    def act(cid, block, name):
+        if (cid, block, name) in steps:
+            raise ValidationError(f"{name} fails in block {block}")
+    return act
+
+
+THREE_BLOCKS = 2 * simulator._BLOCK + 1000
 
 
 @pytest.fixture
@@ -124,7 +176,7 @@ class TestSimulate:
         np.testing.assert_allclose(agg, np.sort(reference), rtol=0, atol=1e-12)
         assert (agg >= np.sort(x.max(axis=0)) - 1e-12).all()
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 3, 4])
     def test_blocks_rebuilt_from_their_streams(self, threads):
         # Each cell's blocks drawn here from its own (seed, cell index, tag)
         # streams, positions then normals then fading, reproduce the dumps
@@ -204,6 +256,80 @@ class TestSimulate:
         for n in (2**53 + 1, 2**61):
             with pytest.raises(ValidationError, match=rf"at most 2\*\*53 realizations, got {n}"):
                 SimConfig(n_samples=n)
+
+
+class TestPipeline:
+    """With fewer cells than threads, each cell's next block of positions is
+    drawn while the rest of its current block runs."""
+
+    def test_three_blocks_bit_identical_at_any_thread_count(self):
+        # Four threads on fewer cores, switched as often as the interpreter allows.
+        sc = gen_single_interferer(0.02)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [simulate(sc, SimConfig(n_samples=THREE_BLOCKS, seed=8, record_per_cell=True,
+                                           threads=threads)) for threads in (1, 2, 4)]
+        finally:
+            sys.setswitchinterval(interval)
+        for res in runs[1:]:
+            np.testing.assert_array_equal(res.aggregate_dbm.samples.view(np.int64),
+                                          runs[0].aggregate_dbm.samples.view(np.int64))
+            np.testing.assert_array_equal(res.per_cell_db["interferer"].samples.view(np.int64),
+                                          runs[0].per_cell_db["interferer"].samples.view(np.int64))
+
+    @pytest.mark.parametrize("step", ["positions", "rest"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_later_block_failure_names_the_cell(self, monkeypatch, threads, step):
+        sc = two_cell_scenario()
+        before_each_step(monkeypatch, sc, fail_at(("c2", 2, step)))
+        with pytest.raises(ValidationError, match=f"^cell 'c2': {step} fails in block 2$"):
+            simulate(sc, SimConfig(n_samples=THREE_BLOCKS, seed=3, threads=threads))
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_errors_surface_in_block_then_cell_order(self, monkeypatch, threads):
+        # c2's positions fail in block 2, c4's in block 1 and c3's rest in
+        # block 1; with 4 threads c2's block 2 is drawn before block 1 ends.
+        sc = four_cell_scenario()
+        before_each_step(monkeypatch, sc, fail_at(
+            ("c2", 2, "positions"), ("c4", 1, "positions"), ("c3", 1, "rest")))
+        with pytest.raises(ValidationError, match="^cell 'c3': rest fails in block 1$"):
+            simulate(sc, SimConfig(n_samples=THREE_BLOCKS, seed=3, threads=threads))
+
+    @pytest.mark.parametrize("k, threads", [(1, 2), (3, 4), (5, 2)])
+    def test_failed_run_stops_its_workers(self, monkeypatch, k, threads):
+        # c2's first rest fails at once, while every positions draw but c2's
+        # first waits for the run to shut its pool down.  The held workers
+        # cannot have started all tasks of three or more interferers.
+        sc = ring_scenario(k)
+        release = threading.Event()
+        submitted = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(super().submit(*args, **kwargs))
+                return submitted[-1]
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                # What this call leaves queued would run once the workers go on.
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                release.set()
+                super().shutdown(wait=wait)
+
+        def act(cid, block, name):
+            if (cid, block, name) == ("c2", 0, "rest"):
+                raise ValidationError("rest fails in block 0")
+            if name == "positions" and (cid, block) != ("c2", 0):
+                release.wait(10)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        before_each_step(monkeypatch, sc, act)
+        count = threading.active_count()
+        with pytest.raises(ValidationError, match="^cell 'c2': rest fails in block 0$"):
+            simulate(sc, SimConfig(n_samples=THREE_BLOCKS, seed=3, threads=threads))
+        assert threading.active_count() == count
+        assert all(f.done() for f in submitted)
+        assert k < 3 or any(f.cancelled() for f in submitted)
 
 
 class TestShadowFadingProduct:
@@ -338,6 +464,16 @@ class TestMemory:
         held = res.aggregate_dbm.samples.nbytes + sum(
             d.samples.nbytes for d in res.per_cell_db.values())
         assert peak - held <= 12 * simulator._BLOCK * 8
+
+    def test_two_threads_prefetch_one_position_block(self):
+        # With one cell and two threads, the next block's positions (two
+        # float64 blocks) are drawn while this block's rest runs.
+        sc = gen_single_interferer(0.02, shape="paper_irregular")
+        cfg = SimConfig(n_samples=10**6, seed=5, record_per_cell=True, threads=2)
+        res, peak = traced_peak(lambda: simulate(sc, cfg))
+        held = res.aggregate_dbm.samples.nbytes + sum(
+            d.samples.nbytes for d in res.per_cell_db.values())
+        assert peak - held <= (12 + 2) * simulator._BLOCK * 8
 
     def test_read_samples_views_the_file_bytes(self, tmp_path):
         # The one array the body is read into plus a one-byte-per-sample mask
