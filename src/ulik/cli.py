@@ -59,7 +59,7 @@ def cmd_analyze(args) -> int:
     threshold = args.tau_threshold
     if not 0 < threshold < math.inf:
         raise ValidationError(f"tau threshold must be positive and finite, got {threshold}")
-    scenario = scenario_io.load_scenario(args.scenario, lenient=args.lenient)
+    scenario = scenario_io.load_scenario(args.scenario)
     # fit.csv names the scenario by its generator label, else by its file's name.
     scenario_id = scenario.metadata.get("generator", Path(str(args.scenario)).stem)
     try:
@@ -108,7 +108,7 @@ def cmd_simulate(args) -> int:
         n_samples=args.samples, seed=args.seed,
         record_per_cell=args.per_cell, threads=args.threads,
     )
-    scenario = scenario_io.load_scenario(args.scenario, lenient=args.lenient)
+    scenario = scenario_io.load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-threshold", type=float, default=DEFAULT_TAU_THRESHOLD)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for scripts; has no effect, the analysis draws nothing")
-    p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-cell", action="store_true")
     p.add_argument("--raw", action="store_true", help="dump raw aggregate samples")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -146,8 +146,8 @@ def fit_sum(
     """
     if not components:
         raise ValidationError("need at least one component")
-    if not 0 < s2 < s1:
-        raise ValidationError(f"need 0 < s2 < s1, got s1={s1}, s2={s2}")
+    if not 0 < s2 < s1 < math.inf:
+        raise ValidationError(f"need 0 < s2 < s1 < inf, got s1={s1}, s2={s2}")
     if rule is None:
         rule = gh_rule(DEFAULT_ORDER)
     s_points = np.array([s1, s2])

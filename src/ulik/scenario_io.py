@@ -105,7 +105,7 @@ def _validate(scenario: NetworkScenario) -> NetworkScenario:
 # ---------------------------------------------------------------------------
 # JSON schema
 #
-# Each JSON value has a kind: read(value, path, lenient) returns the Python
+# Each JSON value has a kind: read(value, path) returns the Python
 # value or raises a SchemaError that names the JSON path, and write(value)
 # returns the JSON value.  The region node types are the _REGION_TYPES table.
 
@@ -121,7 +121,7 @@ def _expect(value, types, path: str, what: str):
     return value
 
 
-def _read_number(value, path: str, lenient: bool = False) -> float:
+def _read_number(value, path: str) -> float:
     try:
         if not isinstance(value, bool) and math.isfinite(value):
             return float(value)
@@ -130,11 +130,7 @@ def _read_number(value, path: str, lenient: bool = False) -> float:
     raise SchemaError(f"{path}: expected a finite number")
 
 
-def _scalar(cls, what: str) -> _Kind:
-    return _Kind(lambda value, path, lenient=False: _expect(value, cls, path, what), cls)
-
-
-def _read_string(value, path: str, lenient: bool = False) -> str:
+def _read_string(value, path: str) -> str:
     try:
         _expect(value, str, path, "a string").encode()
     except UnicodeEncodeError:  # a lone surrogate, which a JSON string may hold
@@ -145,20 +141,20 @@ def _read_string(value, path: str, lenient: bool = False) -> str:
 _STRING = _Kind(_read_string, str)
 
 
-def _read_point(value, path: str, lenient: bool = False) -> Point:
+def _read_point(value, path: str) -> Point:
     if not (isinstance(value, list) and len(value) == 2):
         raise SchemaError(f"{path}: expected [x, y]")
     return Point(*(_read_number(v, f"{path}[{i}]") for i, v in enumerate(value)))
 
 
-def _read_labels(value, path: str, lenient: bool = False) -> dict:
+def _read_labels(value, path: str) -> dict:
     return {k: _STRING.read(v, f"{path}.{k}")
             for k, v in _expect(value, dict, path, "an object").items()}
 
 
 def _list_of(kind: _Kind) -> _Kind:
-    def read(value, path, lenient=False):
-        return tuple(kind.read(v, f"{path}[{i}]", lenient)
+    def read(value, path):
+        return tuple(kind.read(v, f"{path}[{i}]")
                      for i, v in enumerate(_expect(value, list, path, "a list")))
 
     return _Kind(read, lambda values: [kind.write(v) for v in values])
@@ -176,15 +172,15 @@ class _Record:
         self.fields = [(key, attr or key, kind) for key, attr, kind in fields]
         self.optional = set(optional)
 
-    def read(self, doc, path: str, lenient: bool = False):
+    def read(self, doc, path: str):
         keys = {key for key, _, _ in self.fields}
         missing = keys - self.optional - _expect(doc, dict, path, "an object").keys()
         if missing:
             raise SchemaError(f"{path}: missing field(s) {sorted(missing)}")
         unknown = doc.keys() - keys
-        if unknown and not lenient:
+        if unknown:
             raise SchemaError(f"{path}: unknown field(s) {sorted(unknown)}")
-        values = {attr: kind.read(doc[key], f"{path}.{key}", lenient)
+        values = {attr: kind.read(doc[key], f"{path}.{key}")
                   for key, attr, kind in self.fields if key in doc}
         try:
             return self.cls(**values)
@@ -195,12 +191,12 @@ class _Record:
         return {key: kind.write(getattr(obj, attr)) for key, attr, kind in self.fields}
 
 
-def region_from_dict(doc, path: str = "region", lenient: bool = False) -> Region:
+def region_from_dict(doc, path: str = "region") -> Region:
     kind = _expect(doc, dict, path, "an object").get(_TYPE)
     record = _REGION_TYPES.get(kind) if isinstance(kind, str) else None
     if record is None:
         raise SchemaError(f"{path}.{_TYPE}: unknown region type {kind!r}")
-    return record.read({k: v for k, v in doc.items() if k != _TYPE}, path, lenient)
+    return record.read({k: v for k, v in doc.items() if k != _TYPE}, path)
 
 
 def region_to_dict(region: Region) -> dict:
@@ -211,6 +207,7 @@ def region_to_dict(region: Region) -> dict:
 
 
 _NUMBER = _Kind(_read_number, float)
+_INTEGER = _Kind(lambda value, path: _expect(value, int, path, "an integer"), int)
 _POINT = _Kind(_read_point, lambda p: [p.x, p.y])
 _REGION = _Kind(region_from_dict, region_to_dict)
 _CENTER = ("center_km", "center", _POINT)
@@ -234,7 +231,7 @@ _SCENARIO = _Record(
     ("min_bs_ue_distance_km", "min_bs_ue_distance", _NUMBER),
     ("channel", None, _Record(
         ChannelParams, ("A_db", "a_db", _NUMBER), ("alpha", None, _NUMBER),
-        ("sigma_shad_sq", None, _NUMBER), ("n_antennas", None, _scalar(int, "an integer")),
+        ("sigma_shad_sq", None, _NUMBER), ("n_antennas", None, _INTEGER),
         optional={"n_antennas"})),
     ("power", None, _Record(PowerControl, ("p0_dbm", None, _NUMBER), ("eta", None, _NUMBER))),
     ("cells", None, _list_of(_Record(
@@ -244,13 +241,13 @@ _SCENARIO = _Record(
 )
 
 
-def scenario_from_dict(doc, lenient: bool = False) -> NetworkScenario:
+def scenario_from_dict(doc) -> NetworkScenario:
     body = dict(_expect(doc, dict, "$", "an object"))
     version = body.pop("format_version", None)
     if version != FORMAT_VERSION:
         raise SchemaError(f"$.format_version: expected {FORMAT_VERSION}, got {version!r}")
     try:
-        return _validate(_SCENARIO.read(body, "$", lenient))
+        return _validate(_SCENARIO.read(body, "$"))
     except RecursionError as exc:
         raise SchemaError("$: regions are nested too deeply") from exc
 
@@ -259,13 +256,13 @@ def scenario_to_dict(scenario: NetworkScenario) -> dict:
     return {"format_version": FORMAT_VERSION, **_SCENARIO.write(scenario)}
 
 
-def load_scenario(path, lenient: bool = False) -> NetworkScenario:
+def load_scenario(path) -> NetworkScenario:
     """Load a scenario from a UTF-8 JSON file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-    return scenario_from_dict(doc, lenient=lenient)
+    return scenario_from_dict(doc)
 
 
 def save_scenario(scenario: NetworkScenario, path) -> None:
@@ -330,6 +327,8 @@ class HotspotDropSpec:
         spacing = self.spacing()
         if self.n_cells < 2:
             raise ValidationError("hotspot drop needs at least 2 cells")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not (0 < w < math.inf and 0 < h < math.inf):
             raise ValidationError(
                 f"drop area sides must be finite and positive, got {self.area_km}")

@@ -52,6 +52,8 @@ class SimConfig:
             raise ValidationError(f"at most 2**53 realizations, got {self.n_samples}")
         if self.threads < 1:
             raise ValidationError("thread count must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import ctypes
 import hashlib
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -693,6 +695,8 @@ _BAD_INPUTS = {
                             "BS spacing must be finite and nonnegative"),
     "hotspot_spacing_1e200": (None, [["gen", "hotspot", "--min-spacing", 1e200, "-o", "s.json"]],
                               "infeasible drop"),
+    "hotspot_seed_negative": (None, [["gen", "hotspot", "--seed", -1, "-o", "s.json"]],
+                              "seed must be nonnegative, got -1"),
     "hex_pitch_0": (None, [["gen", "hex", "--rings", 1, "--pitch", 0, "--r", 0.02,
                             "-o", "s.json"]], "two BSs share the position"),
     "single_r_1e300": (None, [["gen", "single", "--r", 1e300, "-o", "b2.json"]],
@@ -721,6 +725,10 @@ _BAD_INPUTS = {
                                 "tau threshold must be positive and finite, got 0.0"),
     "analyze_tau_threshold_inf": (None, [_ANALYZE + ["--tau-threshold", "inf"]],
                                   "tau threshold must be positive and finite, got inf"),
+    "analyze_s1_inf": (None, [_ANALYZE + ["--s1", "inf"]],
+                       "need 0 < s2 < s1 < inf, got s1=inf, s2=0.1"),
+    "simulate_seed_negative": (None, [_SIMULATE + ["--seed", -1]],
+                               "seed must be nonnegative, got -1"),
     "simulate_samples_2_61": (None, [["simulate", "b2.json", "--samples", 2**61, "--out", "sim"]],
                               f"at most 2**53 realizations, got {2**61}"),
     "compare_without_per_cell_dumps": (None, [
@@ -784,3 +792,32 @@ class TestBadInput:
         assert run("simulate", "b2.json", "--samples", 2**40, "--out", "sim") == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"ulik: error: Unable to allocate arrays for {2**40} samples"
+
+
+def _long_options(parser, command="ulik"):
+    """(command, option) for every long option of `parser` and its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _long_options(sub, f"{command} {name}")
+        elif not isinstance(action, argparse._HelpAction):
+            yield from ((command, o) for o in action.option_strings if o.startswith("--"))
+
+
+class TestOptionsInReadme:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_every_long_option_is_in_the_readme(self):
+        readme = self.README.read_text(encoding="utf-8")
+        options = list(_long_options(cli.build_parser()))
+        assert ("ulik compare", "--per-cell-dir") in options
+        missing = [f"{command} {option}" for command, option in options
+                   if not re.search(rf"{re.escape(option)}(?![\w-])", readme)]
+        assert not missing
+
+    @pytest.mark.parametrize("argv", [_ANALYZE, _SIMULATE], ids=["analyze", "simulate"])
+    def test_lenient_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--lenient")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lenient" in capsys.readouterr().err

@@ -234,6 +234,8 @@ class TestFitSum:
             fit_sum(comps, s1=0.1, s2=1.0)
         with pytest.raises(ValidationError, match="need 0 < s2 < s1"):
             fit_sum(comps, s1=1.0, s2=-0.5)
+        with pytest.raises(ValidationError, match="need 0 < s2 < s1"):
+            fit_sum(comps, s1=math.inf, s2=1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.floats(-110.0, -80.0), st.floats(50.0, 250.0)),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from functools import reduce
 from operator import getitem
@@ -55,12 +56,26 @@ class TestLoadScenario:
         with pytest.raises(SchemaError):
             scenario_from_dict(doc)
 
-    def test_unknown_field_strict_vs_lenient(self):
+    # Each JSON path of the document below, with the keys that lead to it.
+    _OBJECTS = {
+        "$": (),
+        "$.channel": ("channel",),
+        "$.power": ("power",),
+        "$.cells[1]": ("cells", 1),
+        "$.cells[1].region": ("cells", 1, "region"),
+        "$.cells[1].region.children[0]": ("cells", 1, "region", "children", 0),
+    }
+
+    @pytest.mark.parametrize("json_path", list(_OBJECTS))
+    def test_unknown_field_names_its_path(self, json_path):
         doc = minimal_doc()
-        doc["extra"] = 1
-        with pytest.raises(SchemaError):
+        cell = doc["cells"][1]
+        cell["region"] = {"type": "intersection", "children": [cell["region"]]}
+        assert scenario_from_dict(doc).cell("c2").region.children[0].radius == 0.02
+        reduce(getitem, self._OBJECTS[json_path], doc)["extra"] = 1
+        with pytest.raises(SchemaError, match=rf"^{re.escape(json_path)}: "
+                                              r"unknown field\(s\) \['extra'\]$"):
             scenario_from_dict(doc)
-        assert scenario_from_dict(doc, lenient=True).victim_cell().id == "c1"
 
     def test_region_swallowed_by_exclusion_disk(self):
         doc = minimal_doc()
