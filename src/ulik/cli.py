@@ -12,17 +12,22 @@ the tool itself failed.
 Each subcommand imports the modules only it calls when it runs, so that,
 for example, `compare` never loads the geometry engine and only `analyze`
 loads the lognormal fit.  The `ulik` command and `python -m ulik.cli` enter
-through `run`, which ends the process without tearing the interpreter down.
+through `run`.
 """
 
 import argparse
 import csv
 import ctypes
+import gc
 import math
 import os
 import sys
 import time
 from pathlib import Path
+
+# No stage does BLAS work worth a second thread, and OpenBLAS's idle one
+# spins; it reads this once, when numpy loads.  A caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -322,21 +327,12 @@ def main(argv=None) -> int:
         return 2
 
 
-def _observed() -> bool:
-    """Whether a profiler or tracer (cProfile, coverage) watches this process."""
-    monitoring = getattr(sys, "monitoring", None)  # how they watch from Python 3.12 on
-    return (sys.getprofile() is not None or sys.gettrace() is not None
-            or monitoring is not None and any(monitoring.get_tool(i) for i in range(6)))
-
-
 def run():
     """The console entry: main(), then the end of the process.
 
     Output is flushed here, so a reader that went away reads as an error
-    like any other.  Tearing the interpreter down would then only free
-    memory that the OS takes back anyway, at tens of milliseconds of CPU
-    per run, so the process ends at once.  Under a profiler or tracer it
-    exits normally, so that they write their output.
+    like any other.  Freezing every object first spares the exit's garbage
+    collection from walking the whole heap, most of the teardown's cost.
     """
     code = main()
     try:
@@ -347,9 +343,8 @@ def run():
         # What is left unwritten goes nowhere, not to a second error at exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.stderr.flush()
-    if _observed():
-        sys.exit(code)
-    os._exit(code)
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

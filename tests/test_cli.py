@@ -214,6 +214,32 @@ class TestStartup:
         assert loaded == {"gen": "False", "simulate": "False", "analyze": "True",
                           "compare": "False"}
 
+    def blas_child(self, body, threads=None):
+        """The last line `body` prints in a child given OPENBLAS_NUM_THREADS=threads."""
+        env = _subprocess_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)  # importing ulik.cli here set it
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = str(threads)
+        done = subprocess.run([sys.executable, "-c", body], env=env, capture_output=True,
+                              text=True, check=True)
+        return done.stdout.splitlines()[-1]
+
+    TASKS = "import os, ulik.cli\nprint(len(os.listdir('/proc/self/task')))\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+    def test_cli_runs_one_blas_thread(self):
+        assert self.blas_child(self.TASKS) == "1"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs Linux and 2 CPUs")
+    def test_a_callers_blas_threads_win(self):
+        assert self.blas_child(self.TASKS, threads=2) == "2"
+
+    def test_the_library_leaves_blas_threads_alone(self):
+        body = ("import os, ulik, ulik.geometry, ulik.simulator, ulik.pipeline\n"
+                "print('OPENBLAS_NUM_THREADS' in os.environ)\n")
+        assert self.blas_child(body) == "False"
+
 
 class TestEntry:
     """`python -m ulik.cli` and the `ulik` command go through cli.run."""
@@ -256,17 +282,17 @@ class TestEntry:
 
     @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
     def test_exit_skips_teardown_unless_traced(self, tmp_path, traced):
-        # atexit handlers run only when the interpreter is torn down.
-        script = ("import atexit, runpy, sys\n"
-                  "atexit.register(lambda: print('torn down'))\n"
+        # No run skips teardown any more: plain and traced runs both tear down
+        # after gc.freeze(), and atexit handlers run only on a teardown.
+        script = ("import atexit, gc, runpy, sys\n"
+                  "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
                   + ("sys.settrace(lambda *args: None)\n" if traced else "")
                   + "sys.argv = ['ulik', 'gen', 'single', '--r', '0.02', '-o', 's.json']\n"
                   "runpy.run_module('ulik.cli', run_name='__main__')\n")
         done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               env=_subprocess_env(), capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines() == (["cells=2", "victim=victim", "path=s.json"]
-                                            + ["torn down"] * traced)
+        assert done.stdout.splitlines() == ["cells=2", "victim=victim", "path=s.json", "True"]
 
     def test_closed_stdout_under_a_profiler(self, tmp_path):
         # The error line, then a normal exit that must not meet the broken
@@ -284,28 +310,6 @@ class TestEntry:
         assert done.stderr.splitlines() == ["ulik: error: [Errno 32] Broken pipe"]
         assert done.returncode == 0  # cProfile's runner drops the code of a SystemExit
         assert (tmp_path / "prof.out").stat().st_size > 0
-
-    @pytest.mark.parametrize("tool", [None, "coverage"])
-    def test_a_monitoring_tool_counts_as_observed(self, monkeypatch, tool):
-        # Python 3.12+ tools watch through sys.monitoring, not a trace function.
-        monkeypatch.setattr(sys, "gettrace", lambda: None)
-        monkeypatch.setattr(sys, "getprofile", lambda: None)
-        fake = type("Monitoring", (), {
-            "get_tool": staticmethod(lambda i: tool if i == 1 else None)})
-        monkeypatch.setattr(sys, "monitoring", fake, raising=False)
-        assert cli._observed() is (tool is not None)
-
-    @pytest.mark.skipif(not hasattr(sys, "monitoring"), reason="sys.monitoring is Python 3.12+")
-    def test_exit_tears_down_under_a_monitoring_tool(self, tmp_path):
-        script = ("import atexit, runpy, sys\n"
-                  "atexit.register(lambda: print('torn down'))\n"
-                  "sys.monitoring.use_tool_id(sys.monitoring.COVERAGE_ID, 'fake')\n"
-                  "sys.argv = ['ulik', 'gen', 'single', '--r', '0.02', '-o', 's.json']\n"
-                  "runpy.run_module('ulik.cli', run_name='__main__')\n")
-        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                              env=_subprocess_env(), capture_output=True, text=True)
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[-1] == "torn down"
 
     def test_main_returns_its_code(self, tmp_path, capsys):
         assert main(["gen", "single", "--r", "0.02", "-o", str(tmp_path / "s.json")]) == 0
@@ -747,6 +751,12 @@ _EXTREME = {
                             ["analyze", "b2.json", "--samples", "2000", "--out", "ana"]),
     "simulate_sigma_1e308": (("sigma_shad_sq", 1e308),
                              ["simulate", "b2.json", "--samples", "100", "--out", "sim"]),
+    # One interferer on two threads splits each block: the next block's
+    # positions are in flight when block 0's sum leaves the float range, and
+    # the process must still end at once.
+    "simulate_sigma_1e8_two_threads": (("sigma_shad_sq", 1e8), [
+        "simulate", "b2.json", "--samples", str(2 * simulator._BLOCK + 1000), "--threads", "2",
+        "--per-cell", "--out", "sim"]),
 }
 
 
@@ -758,7 +768,7 @@ def test_extreme_input_prints_one_line(tmp_path, b2_scenario, case):
         doc["channel"][edit[0]] = edit[1]
         b2_scenario.write_text(json.dumps(doc))
     done = subprocess.run([sys.executable, "-m", "ulik.cli", *argv], cwd=tmp_path,
-                          env=_subprocess_env(), capture_output=True, text=True)
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     (line,) = done.stderr.splitlines()
     assert line.startswith("ulik: error: ")
