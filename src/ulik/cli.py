@@ -37,7 +37,7 @@ from .gaussian_approx import GaussianApprox
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -58,9 +58,6 @@ def _emit(key, value):
 def cmd_analyze(args) -> int:
     from . import lognormal_sum, pipeline, scenario_io
 
-    m0 = lognormal_sum.DEFAULT_ORDER if args.m0 is None else args.m0
-    s1 = lognormal_sum.DEFAULT_S1 if args.s1 is None else args.s1
-    s2 = lognormal_sum.DEFAULT_S2 if args.s2 is None else args.s2
     threshold = args.tau_threshold
     if not 0 < threshold < math.inf:
         raise ValidationError(f"tau threshold must be positive and finite, got {threshold}")
@@ -74,7 +71,7 @@ def cmd_analyze(args) -> int:
                               "name the scenario in fit.csv; give it a generator label") from None
     t0 = time.monotonic()
 
-    result = pipeline.analyze(scenario, args.samples, m0=m0, s1=s1, s2=s2)
+    result = pipeline.analyze(scenario, args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = [[c.cell_id, c.moments.mu_l, c.moments.var_l, c.moments.abs3_l,
@@ -90,7 +87,8 @@ def cmd_analyze(args) -> int:
     _write_csv(out / "fit.csv",
                ["scenario_id", "s1", "s2", "m0", "mu_q", "var_q",
                 "residual1", "residual2", "iterations", "converged"],
-               [[scenario_id, s1, s2, m0, fit.mu_q, fit.var_q,
+               [[scenario_id, lognormal_sum.DEFAULT_S1, lognormal_sum.DEFAULT_S2,
+                 lognormal_sum.DEFAULT_ORDER, fit.mu_q, fit.var_q,
                  fit.residuals[0], fit.residuals[1], fit.iterations, fit.converged]])
 
     if fit.converged and fit.var_q > 0:
@@ -136,8 +134,11 @@ def cmd_simulate(args) -> int:
 
 
 def _read_report(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.DictReader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: not a readable CSV file: {exc}") from exc
 
 
 def _field(path, line, row, column):
@@ -258,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000,
                    help="accuracy target: each moment's quadrature error estimate stays "
                         "below the standard error of this many uniform points")
-    # The fit's defaults (lognormal_sum.DEFAULT_*) are resolved in cmd_analyze.
-    p.add_argument("--m0", type=int, help="Gauss-Hermite order")
-    p.add_argument("--s1", type=float)
-    p.add_argument("--s2", type=float)
     p.add_argument("--tau-threshold", type=float, default=DEFAULT_TAU_THRESHOLD)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for scripts; has no effect, the analysis draws nothing")
@@ -330,11 +327,16 @@ def main(argv=None) -> int:
 def run():
     """The console entry: main(), then the end of the process.
 
+    Ctrl-C is one error line and exit 130 here; main() lets it through.
     Output is flushed here, so a reader that went away reads as an error
     like any other.  Freezing every object first spares the exit's garbage
     collection from walking the whole heap, most of the teardown's cost.
     """
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        sys.stderr.write("ulik: error: interrupted\n")
+        code = 130
     try:
         sys.stdout.flush()
     except OSError as exc:

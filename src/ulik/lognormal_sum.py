@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ValidationError
 from .gaussian_approx import ZETA, GaussianApprox
 
-# analyze's defaults: the Gauss-Hermite order and the two design points.
+# The fit's one design, fit_sum's defaults: the Hermite order, two design points.
 DEFAULT_ORDER = 12
 DEFAULT_S1 = 1.0
 DEFAULT_S2 = 0.1

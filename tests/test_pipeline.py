@@ -12,7 +12,7 @@ from ulik.gaussian_approx import (
     region_moments,
     tau,
 )
-from ulik.lognormal_sum import fit_sum, gh_rule
+from ulik.lognormal_sum import DEFAULT_ORDER, DEFAULT_S1, DEFAULT_S2, fit_sum, gh_rule
 from ulik.pipeline import analyze
 from ulik.scenario_io import HotspotDropSpec, gen_hotspot
 
@@ -23,9 +23,10 @@ def scenario():
 
 
 def test_matches_the_chain_step_by_step(scenario):
-    """Each cell's moments at the given accuracy; the fit is referenced to P0."""
+    """Each cell's moments at the given accuracy; the fit runs at the declared
+    design and is referenced to P0."""
     sc = scenario
-    result = analyze(sc, 5_000, m0=20, s1=2.0, s2=0.5)
+    result = analyze(sc, 5_000)
     g = lognormal_exp_gaussian(combined_shadow_stats(sc.channel, sc.power))
     comps = []
     assert [c.cell_id for c in result.cells] == [c.id for c in sc.interfering_cells()]
@@ -36,7 +37,7 @@ def test_matches_the_chain_step_by_step(scenario):
         assert got.tau == tau(m, g)
         assert got.component == interferer_gaussian(sc.power.p0_dbm, m, g)
         comps.append(got.component)
-    assert result.fit == fit_sum(comps, s1=2.0, s2=0.5, rule=gh_rule(20),
+    assert result.fit == fit_sum(comps, s1=DEFAULT_S1, s2=DEFAULT_S2, rule=gh_rule(DEFAULT_ORDER),
                                  ref_dbm=sc.power.p0_dbm)
 
 
