@@ -112,6 +112,12 @@ def cmd_simulate(args) -> int:
         record_per_cell=args.per_cell, threads=args.threads,
     )
     scenario = scenario_io.load_scenario(args.scenario)
+    for cell in scenario.interfering_cells() if args.per_cell else ():
+        try:
+            os.fsencode(f"cell_{cell.id}.bin")
+        except UnicodeEncodeError:  # found now, not after the whole run
+            raise ValidationError(f"cell id {cell.id!r} cannot name a file in the file-system "
+                                  f"encoding ({sys.getfilesystemencoding()})") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()

@@ -3,6 +3,13 @@
 
 Every sample the program draws or reads is a dBm value; the lognormal over
 linear power (mW) is only evaluated, never sampled.
+
+ks_distance against a Gaussian searches on GaussianApprox.cdf_approx, which
+is within EPS = 2e-7 of the exact CDF, and widens its pruning bound by 2*EPS
+to match, so that no term it drops can be the maximum.  The exact CDF
+(math.erf) is then evaluated only at the few points whose approximate term
+lies within 2*EPS of the largest one.  The distance is the same float as the
+largest exact term over every sample.
 """
 
 import math
@@ -11,16 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian_approx import ZETA, GaussianApprox
+from .gaussian_approx import EPS, ZETA, GaussianApprox
 
 # The dB-domain Gaussian is gaussian_approx.GaussianApprox; this is a second
 # name for it.
 GaussianDb = GaussianApprox
 
-# ks_distance splits each open index block into this many sub-blocks per
-# pass.  The slack covers rounding in its block bounds and the ulp-level
-# non-monotonicity of a computed CDF.
-KS_SPLIT = 32
+# ks_distance's first pass evaluates at most KS_FIRST + 1 points, each later
+# one splits every open block into KS_SPLIT sub-blocks, and a pass over
+# blocks of at most 4*KS_SPLIT steps evaluates every point.  The slack covers rounding in
+# its terms and block bounds and the ulp-level non-monotonicity of a
+# computed CDF.
+KS_FIRST = 2048
+KS_SPLIT = 16
 KS_SLACK = 1e-12
 
 
@@ -115,53 +125,71 @@ def ks_distance(a: EmpiricalDistribution, b) -> float:
     a's samples are dBm values; b is any object exposing ``cdf(values)`` over
     dBm whose value at a point depends on that point alone, another
     EmpiricalDistribution included.  F_a is constant between a's sorted points
-    x_i, so the sup is the largest of the terms (i+1)/n - F_b(x_i) and
-    F_b(x_i-) - i/n.  Index blocks [p, q] whose F_b(x_p) and F_b(x_q) are
-    known are refined: each pass evaluates F_b at KS_SPLIT - 1 interior points
-    of every open block, in one call, and splits the block there.  By
-    monotonicity no term inside [p, q] exceeds
-    max(q/n - F_b(x_p), F_b(x_q) - (p+1)/n), so a block whose bound does not
-    beat the running maximum is dropped, and the maximum only grows.  The
-    result is the float the terms at all n points give.
+    x_i, so the sup is the largest term T_i, the larger of (i+1)/n - F_b(x_i)
+    and F_b(x_i-) - i/n.  The result is the float the terms at all n points
+    give.
+
+    Index blocks [p, q] are refined: the first pass evaluates the terms at
+    most KS_FIRST steps apart, and each later pass splits every open block
+    into KS_SPLIT sub-blocks, or into single steps.  For a GaussianApprox of
+    variance > 0 a pass takes its terms on G = cdf_approx, within e = EPS of
+    F_b (a continuous b's left limits are its values); for any other b it
+    takes them on G = F_b, with e = 0 and the left limits at
+    nextafter(x, -inf).  By monotonicity no T_i inside [p, q] exceeds
+    max(q/n - F_b(x_p), F_b(x_q) - (p+1)/n), so none exceeds that bound B
+    taken on G, plus e.  The largest term d found on G is at most the true
+    maximum D plus e, so a block with B + 2e + KS_SLACK <= d holds only
+    terms below D and is dropped.  Every point outside the dropped blocks is
+    evaluated, the maximiser among them, and its term on G is at least
+    D - e >= d - 2e.  So D is the largest exact term at the points whose
+    term on G is within 2e + KS_SLACK of the final d, and b.cdf is called
+    only at those few candidates.  Where the terms are nearly level most
+    points are candidates; once most points of a pass are, the later passes
+    take their terms on F_b directly.
     """
     x, n = a.samples, a.count
-    # A continuous b's left limits are its values; b with jumps (point
-    # masses, another sample) needs them at nextafter(x, -inf).
     continuous = isinstance(b, GaussianApprox) and b.variance > 0
+    tol = (2 * EPS if continuous else 0.0) + KS_SLACK
 
-    def terms(idx):
-        """F_b at x[idx], and the largest exact term there."""
+    def terms(cdf, idx):
+        """cdf at x[idx], and the terms there."""
         xi = x[idx]
         if continuous:
-            f = fl = np.asarray(b.cdf(xi), dtype=float)
+            f = fl = np.asarray(cdf(xi), dtype=float)
         else:
-            f, fl = np.split(np.asarray(b.cdf(np.concatenate(
+            f, fl = np.split(np.asarray(cdf(np.concatenate(
                 (xi, np.nextafter(xi, -np.inf)))), dtype=float), 2)
-        return f, max(((idx + 1) / n - f).max(), (fl - idx / n).max())
+        return f, np.maximum((idx + 1) / n - f, fl - idx / n)
 
-    ends = np.array([0, n - 1])
-    f_ends, d = terms(ends)
-    d = max(d, 0.0)
-    if n <= 2:
-        return float(d)  # no interior point
-    p, q, fp, fq = ends[:1], ends[1:], f_ends[:1], f_ends[1:]
-    k = np.arange(KS_SPLIT + 1)
-    while len(p):
-        # A block of at most KS_SPLIT steps is finished off: every interior
-        # point of it is evaluated.  A longer one is split at the distinct
-        # points p = s_0 < s_1 < ... < s_KS_SPLIT = q.
-        short = q - p <= KS_SPLIT
-        gaps = q[short] - p[short] - 1
-        rest = np.arange(gaps.sum()) + np.repeat(p[short] + 1 - (np.cumsum(gaps) - gaps), gaps)
-        p, q, fp, fq = p[~short], q[~short], fp[~short], fq[~short]
-        s = p[:, None] + (k * (q - p)[:, None]) // KS_SPLIT
-        f, d_pass = terms(np.concatenate((s[:, 1:-1].ravel(), rest)))
-        d = max(d, d_pass)
-        fs = np.empty(s.shape)
-        fs[:, 0], fs[:, -1] = fp, fq
-        fs[:, 1:-1] = f[: len(p) * (KS_SPLIT - 1)].reshape(len(p), KS_SPLIT - 1)
-        lo, hi, flo, fhi = s[:, :-1], s[:, 1:], fs[:, :-1], fs[:, 1:]
-        bound = np.maximum(hi / n - flo, fhi - (lo + 1) / n)
-        keep = (hi - lo > 1) & (bound + KS_SLACK > d)
-        p, q, fp, fq = lo[keep], hi[keep], flo[keep], fhi[keep]
-    return float(d)
+    # d is the largest term so far, top the largest exact one, and found
+    # holds the candidates of the passes on cdf_approx.  T_{n-1} =
+    # 1 - F_b(x_{n-1}) >= 0, so starting at 0 drops no maximiser.
+    d = top = 0.0
+    found, exact = [], not continuous
+    # Open blocks [lo, lo + width], cut at n - 1, and the stride at which a
+    # pass evaluates them: powers of two after the first pass.
+    lo, width = np.array([0]), n - 1
+    step = 1 << ((n - 2) // KS_FIRST).bit_length() if width > KS_FIRST else 1
+    while len(lo):
+        s = np.minimum(lo[:, None] + np.arange(0, width + step, step), n - 1)
+        f, t = (v.reshape(s.shape) for v in terms(b.cdf if exact else b.cdf_approx, s.ravel()))
+        t_max = float(t.max())
+        d = max(d, t_max)
+        if exact:
+            top = max(top, t_max)
+        else:
+            near = t + tol > d
+            found.append((s[near], t[near]))
+            exact = 2 * np.count_nonzero(near) > near.size
+        if step == 1:
+            break
+        lo, hi = s[:, :-1], s[:, 1:]
+        bound = np.maximum(hi / n - f[:, :-1], f[:, 1:] - (lo + 1) / n)
+        lo = lo[(hi > lo) & (bound + tol > d)]
+        width, step = step, 1 if step <= 4 * KS_SPLIT else step // KS_SPLIT
+    # A block's ends are evaluated again by the pass that splits it, so an
+    # index may come twice; the exact terms are the same either way.
+    if found:
+        idx = np.concatenate([i[t + tol > d] for i, t in found])
+        top = float(terms(b.cdf, idx)[1].max(initial=top))
+    return top

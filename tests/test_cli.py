@@ -613,6 +613,22 @@ class TestSimulate:
         assert line == (f"ulik: error: $.cells[1]: cell id {cell_id!r} contains '/' or NUL: "
                         "it cannot name a file")
 
+    def test_cell_id_the_file_system_encoding_cannot_spell(self, tmp_path, b2_scenario):
+        # Under the POSIX locale without UTF-8 mode the file-system encoding
+        # is ASCII, so cell_zelle_ü.bin cannot be made; that is found before
+        # anything is drawn or written.
+        doc = json.loads(b2_scenario.read_text())
+        doc["cells"][1]["id"] = "zelle_ü"
+        b2_scenario.write_text(json.dumps(doc))
+        env = dict(_subprocess_env(), LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        done = subprocess.run([sys.executable, "-m", "ulik.cli", "simulate", b2_scenario,
+                               "--samples", "100", "--per-cell", "--out", "sim"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == ("ulik: error: cell id 'zelle_\\xfc' cannot name a file in the "
+                               "file-system encoding (ascii)\n")
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("cell_id, message", [
         ("x" * 300, "$.cells[1]: cell id too long to name a file: cell_<id>.bin takes "
                     "309 bytes, more than 255"),

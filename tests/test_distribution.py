@@ -4,8 +4,10 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import ndtri
 
 from ulik.distribution import (
     EmpiricalDistribution,
@@ -13,6 +15,7 @@ from ulik.distribution import (
     LognormalDist,
     ks_distance,
 )
+from ulik import gaussian_approx
 from ulik.errors import ValidationError
 from ulik.gaussian_approx import GaussianApprox
 
@@ -268,6 +271,39 @@ class TestKsDistance:
                   GaussianApprox(-80.0, 0.0), at_draw,
                   other, CountingCdf(GaussianApprox(-80.0, 25.0))):
             assert ks_distance(a, b) == ks_full_pass(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 5_000), seed=st.integers(0, 2**32 - 1),
+           tie_step=st.sampled_from([None, 0.01, 0.3, 2.0]),
+           log10_var=st.floats(-6.0, 4.0), spread=st.floats(0.25, 4.0),
+           shift=st.floats(-8.0, 8.0), at_quantiles=st.booleans())
+    def test_gaussian_matches_full_pass(self, n, seed, tie_step, log10_var, spread, shift,
+                                        at_quantiles):
+        # The samples' mean sits `shift` of b's standard deviations off b's,
+        # far enough for every sample to fall in one tail of b; rounding to a
+        # step of `tie_step` of them makes ties.  Samples at b's quantiles
+        # (i + 0.5)/n make every term 0.5/n, up to rounding and to the error
+        # of b.cdf_approx.
+        sd = math.sqrt(10.0**log10_var)
+        if at_quantiles:
+            values = -80.0 + sd * ndtri((np.arange(n) + 0.5) / n)
+        else:
+            values = np.random.default_rng(seed).normal(-80.0 + shift * sd, spread * sd, n)
+        if tie_step is not None:
+            values = np.round((values + 80.0) / (tie_step * sd)) * (tie_step * sd) - 80.0
+        a = EmpiricalDistribution.from_samples(values)
+        g = GaussianApprox(-80.0, sd * sd)
+        assert ks_distance(a, g) == ks_full_pass(a, g)
+
+    def test_exact_cdf_only_at_a_few_points(self, monkeypatch):
+        n = 50_000
+        a = EmpiricalDistribution.from_samples(np.random.default_rng(12).normal(-80.0, 6.0, n))
+        g = GaussianApprox(-79.5, 30.0)
+        want = ks_full_pass(a, g)
+        erf, points = gaussian_approx._erf, []
+        monkeypatch.setattr(gaussian_approx, "_erf", lambda z: points.append(np.size(z)) or erf(z))
+        assert ks_distance(a, g) == want
+        assert 0 < sum(points) <= 64
 
     def test_every_block_open_stays_within_twice_the_full_pass(self):
         # At b's quantiles (i + 0.5)/n every term is 0.5/n, so no block can

@@ -6,6 +6,7 @@ import pytest
 from ulik.channel import ChannelParams, PowerControl
 from ulik.errors import ValidationError
 from ulik.gaussian_approx import (
+    EPS,
     RADIAL_NODES,
     THETA_PANELS,
     GaussianApprox,
@@ -106,6 +107,30 @@ class TestGaussianApprox:
 
     def test_extreme_finite_parameters_accepted(self):
         assert GaussianApprox(-1e308, 1.7e308).variance == 1.7e308
+
+
+class TestCdfApprox:
+    def test_within_half_eps_of_cdf(self):
+        g = GaussianApprox(-80.0, 30.0)
+        x = g.mean + math.sqrt(g.variance) * np.linspace(-40.0, 40.0, 2_000_001)
+        assert np.abs(g.cdf_approx(x) - g.cdf(x)).max() <= EPS / 2
+
+    def test_centre_and_saturated_tails(self):
+        # At z = -0.0 and +-1e-300 copysign picks the side; 40 standard
+        # deviations out the tail rounds away.
+        g = GaussianApprox(0.0, 1.0)
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 1e300, -1e300])
+        got = g.cdf_approx(x)
+        assert np.abs(got - g.cdf(x)).max() <= EPS / 2
+        assert got[4:].tolist() == [1.0, 0.0, 1.0, 0.0]
+
+    def test_overflowing_difference_saturates(self):
+        for g, x, want in ((GaussianApprox(-1e308, 1.0), 1e308, 1.0),
+                           (GaussianApprox(1e308, 1.0), -1e308, 0.0),
+                           (GaussianApprox(0.0, 1e-300), 1e300, 1.0)):
+            with np.errstate(over="ignore"):
+                got = g.cdf_approx(np.array([x]))
+            assert got.tolist() == [want]
 
 
 class TestLognormalExpGaussian:
