@@ -162,9 +162,12 @@ def _field(path, line, row, column):
 
 
 def _gaussian(path, line, row, mean, variance):
-    """The GaussianApprox of two columns of a CSV line; a bad value is a SchemaError."""
+    """The GaussianApprox of two columns of a CSV line, which ks_distance
+    scores against; a bad value or a variance of 0 is a SchemaError."""
     mu, var = (_field(path, line, row, c) for c in (mean, variance))
     try:
+        if var == 0:
+            raise ValidationError(f"KS needs a positive variance, got {var}")
         return GaussianApprox(mu, var)
     except ValidationError as exc:
         raise SchemaError(f"{path}: line {line}, column {variance!r}: {exc}") from exc

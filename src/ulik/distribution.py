@@ -26,12 +26,9 @@ GaussianDb = GaussianApprox
 
 # ks_distance's first pass evaluates at most KS_FIRST + 1 points, each later
 # one splits every open block into KS_SPLIT sub-blocks, and a pass over
-# blocks of at most 4*KS_SPLIT steps evaluates every point.  The slack covers rounding in
-# its terms and block bounds and the ulp-level non-monotonicity of a
-# computed CDF.
+# blocks of at most 4*KS_SPLIT steps evaluates every point.
 KS_FIRST = 2048
 KS_SPLIT = 16
-KS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,53 +116,46 @@ class EmpiricalDistribution:
         return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
 
 
-def ks_distance(a: EmpiricalDistribution, b) -> float:
-    """sup |F_a - F_b| with both step sides of the empirical CDF checked.
+def ks_distance(a: EmpiricalDistribution, b: GaussianApprox) -> float:
+    """sup |F_a - F_b| for a Gaussian b of positive variance.
 
-    a's samples are dBm values; b is any object exposing ``cdf(values)`` over
-    dBm whose value at a point depends on that point alone, another
-    EmpiricalDistribution included.  F_a is constant between a's sorted points
-    x_i, so the sup is the largest term T_i, the larger of (i+1)/n - F_b(x_i)
-    and F_b(x_i-) - i/n.  The result is the float the terms at all n points
-    give.
+    a's samples are dBm values.  F_a is constant between a's sorted points
+    x_i and F_b is continuous, so the sup is the largest term T_i, the larger
+    of (i+1)/n - F_b(x_i) and F_b(x_i) - i/n.  The result is the float the
+    terms at all n points give.
 
     Index blocks [p, q] are refined: the first pass evaluates the terms at
     most KS_FIRST steps apart, and each later pass splits every open block
-    into KS_SPLIT sub-blocks, or into single steps.  For a GaussianApprox of
-    variance > 0 a pass takes its terms on G = cdf_approx, within e = EPS of
-    F_b (a continuous b's left limits are its values); for any other b it
-    takes them on G = F_b, with e = 0 and the left limits at
-    nextafter(x, -inf).  By monotonicity no T_i inside [p, q] exceeds
-    max(q/n - F_b(x_p), F_b(x_q) - (p+1)/n), so none exceeds that bound B
-    taken on G, plus e.  The largest term d found on G is at most the true
-    maximum D plus e, so a block with B + 2e + KS_SLACK <= d holds only
-    terms below D and is dropped.  Every point outside the dropped blocks is
-    evaluated, the maximiser among them, and its term on G is at least
-    D - e >= d - 2e.  So D is the largest exact term at the points whose
-    term on G is within 2e + KS_SLACK of the final d, and b.cdf is called
-    only at those few candidates.  Where the terms are nearly level most
-    points are candidates; once most points of a pass are, the later passes
-    take their terms on F_b directly.
+    into KS_SPLIT sub-blocks, or into single steps.  A pass takes its terms
+    on G = b.cdf_approx.  G's gap to F_b is at most 7.5e-8, and EPS exceeds
+    that by far more than the rounding of a term or a bound and the
+    ulp-level non-monotonicity of the computed F_b.  By monotonicity no T_i
+    inside [p, q] exceeds max(q/n - F_b(x_p), F_b(x_q) - (p+1)/n), so none
+    exceeds that bound B taken on G, plus EPS.  The largest term d found on
+    G is at most the true maximum D plus EPS, so a block with B + 2*EPS <= d
+    holds only terms below D and is dropped.  Every point outside the
+    dropped blocks is evaluated, the maximiser among them, and its term on G
+    is at least D - EPS >= d - 2*EPS.  So D is the largest exact term at the
+    points whose term on G is within 2*EPS of the final d, and b.cdf is
+    called only at those few candidates.  Where the terms are nearly level
+    most points are candidates; once most points of a pass are, the later
+    passes take their terms on F_b directly.
     """
+    if not b.variance > 0:
+        raise ValidationError(f"KS needs a Gaussian of positive variance, got {b.variance}")
     x, n = a.samples, a.count
-    continuous = isinstance(b, GaussianApprox) and b.variance > 0
-    tol = (2 * EPS if continuous else 0.0) + KS_SLACK
+    tol = 2 * EPS
 
     def terms(cdf, idx):
         """cdf at x[idx], and the terms there."""
-        xi = x[idx]
-        if continuous:
-            f = fl = np.asarray(cdf(xi), dtype=float)
-        else:
-            f, fl = np.split(np.asarray(cdf(np.concatenate(
-                (xi, np.nextafter(xi, -np.inf)))), dtype=float), 2)
-        return f, np.maximum((idx + 1) / n - f, fl - idx / n)
+        f = np.asarray(cdf(x[idx]), dtype=float)
+        return f, np.maximum((idx + 1) / n - f, f - idx / n)
 
     # d is the largest term so far, top the largest exact one, and found
     # holds the candidates of the passes on cdf_approx.  T_{n-1} =
     # 1 - F_b(x_{n-1}) >= 0, so starting at 0 drops no maximiser.
     d = top = 0.0
-    found, exact = [], not continuous
+    found, exact = [], False
     # Open blocks [lo, lo + width], cut at n - 1, and the stride at which a
     # pass evaluates them: powers of two after the first pass.
     lo, width = np.array([0]), n - 1
@@ -187,9 +177,8 @@ def ks_distance(a: EmpiricalDistribution, b) -> float:
         bound = np.maximum(hi / n - f[:, :-1], f[:, 1:] - (lo + 1) / n)
         lo = lo[(hi > lo) & (bound + tol > d)]
         width, step = step, 1 if step <= 4 * KS_SPLIT else step // KS_SPLIT
-    # A block's ends are evaluated again by the pass that splits it, so an
-    # index may come twice; the exact terms are the same either way.
-    if found:
-        idx = np.concatenate([i[t + tol > d] for i, t in found])
-        top = float(terms(b.cdf, idx)[1].max(initial=top))
-    return top
+    # The first pass is on cdf_approx, so found is never empty.  A block's
+    # ends are evaluated again by the pass that splits it, so an index may
+    # come twice; the exact terms are the same either way.
+    idx = np.concatenate([i[t + tol > d] for i, t in found])
+    return float(terms(b.cdf, idx)[1].max(initial=top))

@@ -73,9 +73,10 @@ class GaussianApprox:
 
     def cdf_approx(self, x):
         """cdf to within EPS at every point of the float ndarray x, for
-        variance > 0, from numpy alone: several times cheaper per point than
-        cdf's math.erf.  An infinite x - mean gives 0 or 1, never NaN."""
-        z = x - self.mean
+        variance > 0, from numpy alone and in float64 whatever x's type:
+        several times cheaper per point than cdf's math.erf.  An infinite
+        x - mean gives 0 or 1, never NaN."""
+        z = np.subtract(x, self.mean, dtype=float)
         z /= math.sqrt(2.0 * self.variance)
         t = np.abs(z)
         t *= _AS_P

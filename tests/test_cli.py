@@ -662,19 +662,6 @@ class TestCompare:
         line = next(l for l in out.splitlines() if l.startswith("KS_aggregate="))
         assert float(line.split("=")[1]) <= 0.02
 
-    def test_degenerate_fit_gives_finite_ks(self, tmp_path, capsys):
-        # A fit with var_q = 0 is a point mass: its CDF is the step at mu_q.
-        fit = tmp_path / "fit.csv"
-        fit.write_text("scenario_id,s1,s2,m0,mu_q,var_q,residual1,residual2,iterations,"
-                       "converged\nx,1.0,0.1,12,-80.0,0.0,0.0,0.0,0,True\n")
-        dump = tmp_path / "samples.bin"
-        write_samples(dump, EmpiricalDistribution.from_samples([-81.0, -80.0, -79.0, -78.0]))
-        assert run("compare", "--fit", fit, "--samples", dump, "--out", tmp_path / "cmp") == 0
-        line = next(l for l in capsys.readouterr().out.splitlines()
-                    if l.startswith("KS_aggregate="))
-        ks = float(line.split("=")[1])
-        assert math.isfinite(ks) and ks == 0.5
-
     FIT_HEADER = "scenario_id,s1,s2,m0,mu_q,var_q,residual1,residual2,iterations,converged\n"
     GOOD_FIT = "x,1.0,0.1,12,-80.0,4.0,0.0,0.0,3,True\n"
 
@@ -763,11 +750,27 @@ def _interferer_disk(doc):
 
 _ANALYZE = ["analyze", "b2.json", "--samples", 2000, "--out", "ana"]
 _SIMULATE = ["simulate", "b2.json", "--samples", 100, "--out", "sim"]
+_COMPARE = ["compare", "--fit", "ana/fit.csv", "--report", "ana/report.csv",
+            "--samples", "sim/samples.bin", "--per-cell-dir", "sim", "--out", "cmp"]
+
+
+def _zero_column(path, column):
+    """A step that sets `column` to 0 on every row of the CSV file `path`."""
+    def edit():
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({**row, column: "0.0"} for row in rows)
+    return edit
+
 
 # Inputs that once ended in a raw traceback, or in exit 0 with NaN results.
 # Each case is an optional edit of the two-cell scenario saved as b2.json, the
-# commands to run in its directory, and a part of the expected message: every
-# command but the last exits 0, and the last exits 2 with one `ulik: error:` line.
+# steps to run in its directory (commands, or edits of the files they wrote),
+# and a part of the expected message: every command but the last exits 0, and
+# the last exits 2 with one `ulik: error:` line.
 _BAD_INPUTS = {
     "hotspot_area_0": (None, [["gen", "hotspot", "--area", 0, "-o", "s.json"]],
                        "drop area sides must be finite and positive"),
@@ -814,10 +817,18 @@ _BAD_INPUTS = {
     "simulate_samples_2_61": (None, [["simulate", "b2.json", "--samples", 2**61, "--out", "sim"]],
                               f"at most 2**53 realizations, got {2**61}"),
     "compare_without_per_cell_dumps": (None, [
-        _ANALYZE, ["simulate", "b2.json", "--samples", 100, "--raw", "--out", "sim"],
-        ["compare", "--fit", "ana/fit.csv", "--report", "ana/report.csv",
-         "--samples", "sim/samples.bin", "--per-cell-dir", "sim", "--out", "cmp"],
+        _ANALYZE, ["simulate", "b2.json", "--samples", 100, "--raw", "--out", "sim"], _COMPARE,
     ], "sim/cell_interferer.bin: no per-cell dump of cell 'interferer'"),
+    # KS scores against a Gaussian of positive variance only; analyze never
+    # writes a variance of 0.
+    "compare_fit_var_q_0": (None, [
+        _ANALYZE, _SIMULATE + ["--raw", "--per-cell"], _zero_column("ana/fit.csv", "var_q"),
+        _COMPARE,
+    ], "ana/fit.csv: line 2, column 'var_q': KS needs a positive variance, got 0.0"),
+    "compare_report_var_qb_0": (None, [
+        _ANALYZE, _SIMULATE + ["--raw", "--per-cell"], _zero_column("ana/report.csv", "var_qb"),
+        _COMPARE,
+    ], "ana/report.csv: line 2, column 'var_qb': KS needs a positive variance, got 0.0"),
 }
 
 
@@ -862,8 +873,11 @@ class TestBadInput:
             edit(doc)
             b2_scenario.write_text(json.dumps(doc))
         monkeypatch.chdir(tmp_path)
-        for argv in commands[:-1]:
-            assert run(*argv) == 0
+        for step in commands[:-1]:
+            if callable(step):
+                step()
+            else:
+                assert run(*step) == 0
         capsys.readouterr()
         assert run(*commands[-1]) == 2
         (line,) = capsys.readouterr().err.splitlines()

@@ -10,6 +10,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from ulik.distribution import (
+    KS_FIRST,
     EmpiricalDistribution,
     GaussianDb,
     LognormalDist,
@@ -24,28 +25,37 @@ DIST = LognormalDist(-77.21, 18.30)
 
 
 def ks_full_pass(a, b):
-    """The reference KS: every term (i+1)/n - F_b(x_i) and F_b(x_i-) - i/n."""
+    """The reference KS against a Gaussian b: every term (i+1)/n - F_b(x_i)
+    and F_b(x_i) - i/n."""
     n = a.count
     fb = np.asarray(b.cdf(a.samples), dtype=float)
-    if isinstance(b, GaussianApprox) and b.variance > 0:
-        fb_left = fb
-    else:
-        fb_left = np.asarray(b.cdf(np.nextafter(a.samples, -np.inf)), dtype=float)
     upper = np.arange(1, n + 1) / n - fb
-    lower = fb_left - np.arange(0, n) / n
+    lower = fb - np.arange(0, n) / n
     return float(max(upper.max(), lower.max(), 0.0))
 
 
-class CountingCdf:
-    """A b of unknown type that counts the points its CDF is asked about."""
+def _level(n, g):
+    """n samples at g's quantiles (i + 0.5)/n, where every term is 0.5/n."""
+    return g.mean + math.sqrt(g.variance) * np.array(
+        [NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
 
-    def __init__(self, dist):
-        self.dist, self.points = dist, 0
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        self.points += x.size
-        return self.dist.cdf(x)
+# Exact KS values as float.hex: a change to the search must not move any of
+# them by a bit.  One sample; one step past a single first pass; a per-cell
+# dump's size; level terms; the maximum far out in either tail of b.
+_PINNED = {
+    "n_1": (lambda: [-80.3], GaussianApprox(-80.0, 25.0), "0x1.0c3f87404bf17p-1"),
+    "n_above_ks_first": (lambda: np.random.default_rng(5).normal(-80.0, 5.0, KS_FIRST + 2),
+                         GaussianApprox(-79.5, 30.0), "0x1.a9899b3ddb3a0p-5"),
+    "n_5e4": (lambda: np.random.default_rng(12).normal(-80.0, 6.0, 50_000),
+              GaussianApprox(-79.5, 30.0), "0x1.7bc36a2200ac0p-5"),
+    "level": (lambda: _level(10_000, GaussianApprox(-80.0, 30.0)),
+              GaussianApprox(-80.0, 30.0), "0x1.a36e2eb1dc000p-15"),
+    "far_upper_tail": (lambda: np.random.default_rng(8).normal(-80.0, 1.0, 1000),
+                       GaussianApprox(-71.0, 1.0), "0x1.ffffffdd27e62p-1"),
+    "far_lower_tail": (lambda: np.random.default_rng(9).normal(-80.0, 1.0, 1000),
+                       GaussianApprox(-89.0, 1.0), "0x1.fffffff2060dep-1"),
+}
 
 
 class TestPdf:
@@ -207,44 +217,6 @@ class TestEmpirical:
 
 
 class TestKsDistance:
-    def test_self_distance_zero(self):
-        e = EmpiricalDistribution.from_samples(np.random.default_rng(0).normal(size=1000))
-        assert ks_distance(e, e) == 0.0
-
-    def test_two_samples_closed_form(self):
-        # Shifting 100 distinct points by 30 of their spacings moves 30% of
-        # the mass; with ties, the sup sits between a's last point and b's.
-        a = EmpiricalDistribution.from_samples(np.arange(100.0))
-        b = EmpiricalDistribution.from_samples(np.arange(100.0) + 30.0)
-        assert ks_distance(a, b) == pytest.approx(0.3, abs=1e-15)
-        assert ks_distance(b, a) == pytest.approx(0.3, abs=1e-15)
-        c = EmpiricalDistribution.from_samples([1.0, 2.0, 2.0, 3.0])
-        d = EmpiricalDistribution.from_samples([2.0, 4.0])
-        assert ks_distance(c, d) == 0.5
-        assert ks_distance(d, c) == 0.5
-
-    def test_point_mass(self):
-        e = EmpiricalDistribution.from_samples([2.0] * 50)
-
-        class StepAtTwo:
-            def cdf(self, x):
-                return (np.asarray(x, dtype=float) >= 2.0).astype(float)
-
-        assert ks_distance(e, StepAtTwo()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_gaussian_skips_left_limits(self):
-        # A continuous b's left limits are its values, so against a
-        # GaussianApprox one cdf pass gives what the two-pass sum gives to a
-        # wrapper that hides the type, up to the last bit of erf.
-        class AnyCdf:
-            def __init__(self, dist):
-                self.cdf = dist.cdf
-
-        rng = np.random.default_rng(3)
-        for n, g in ((10, GaussianApprox(0.3, 2.0)), (200_000, GaussianApprox(-80.0, 30.0))):
-            e = EmpiricalDistribution.from_samples(g.mean + 5.0 * rng.standard_normal(n))
-            assert ks_distance(e, g) == pytest.approx(ks_distance(e, AnyCdf(g)), rel=0, abs=1e-15)
-
     def test_dkw_bound(self):
         samples = np.random.default_rng(7).normal(size=1_000_000)
         e = EmpiricalDistribution.from_samples(samples)
@@ -255,21 +227,26 @@ class TestKsDistance:
         e = EmpiricalDistribution.from_samples(samples)
         assert ks_distance(e, GaussianDb(0.5, 1.0)) > 0.15
 
+    def test_zero_variance_refused(self):
+        e = EmpiricalDistribution.from_samples([1.0, 2.0])
+        with pytest.raises(ValidationError, match="KS needs a Gaussian of positive variance"):
+            ks_distance(e, GaussianApprox(1.5, 0.0))
+
+    @pytest.mark.parametrize("case", list(_PINNED))
+    def test_pinned_values(self, case):
+        values, g, want = _PINNED[case]
+        a = EmpiricalDistribution.from_samples(values())
+        assert ks_distance(a, g).hex() == want
+        assert ks_full_pass(a, g).hex() == want
+
     @pytest.mark.parametrize("n", [1, 2, 3, 33, 100_000])
     @pytest.mark.parametrize("ties", [False, True])
     def test_matches_full_pass(self, n, ties):
-        rng = np.random.default_rng(n)
-        values = rng.normal(-80.0, 5.0, n)
+        values = np.random.default_rng(n).normal(-80.0, 5.0, n)
         if ties:
             values = values.round(0)
-        # A point mass at the draw in the middle of the unsorted values,
-        # taken before from_samples sorts them in place.
-        at_draw = GaussianApprox(float(values[n // 2]), 0.0)
         a = EmpiricalDistribution.from_samples(values)
-        other = EmpiricalDistribution.from_samples(rng.normal(-79.0, 5.0, 777).round(1))
-        for b in (GaussianApprox(-80.0, 25.0), GaussianApprox(-79.5, 30.0),
-                  GaussianApprox(-80.0, 0.0), at_draw,
-                  other, CountingCdf(GaussianApprox(-80.0, 25.0))):
+        for b in (GaussianApprox(-80.0, 25.0), GaussianApprox(-79.5, 30.0)):
             assert ks_distance(a, b) == ks_full_pass(a, b)
 
     @settings(max_examples=300, deadline=None)
@@ -295,6 +272,41 @@ class TestKsDistance:
         g = GaussianApprox(-80.0, sd * sd)
         assert ks_distance(a, g) == ks_full_pass(a, g)
 
+    def test_float16_samples_match_full_pass(self):
+        # EmpiricalDistribution keeps a float16 array as it is; cdf_approx
+        # must still hold its EPS bound on it.
+        g = GaussianApprox(-79.371, 30.0)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            values = rng.normal(g.mean + rng.uniform(-3.0, 3.0), 5.0, rng.integers(1, 5000))
+            a = EmpiricalDistribution(np.sort(values.astype(np.float16)))
+            assert ks_distance(a, g) == ks_full_pass(a, g)
+
+    def test_tight_block_bound_keeps_its_margin(self):
+        # At n = 2*KS_FIRST + 1 the first pass evaluates the even indices.  A
+        # tie group ending at an odd index m makes the bound of the block
+        # [m - 1, m + 1] equal to T_m, the maximum.  An even index j's term is
+        # 5e-8 below T_m, but ahead of it on cdf_approx, whose error is near
+        # +7e-8 at x_m and near -7e-8 at x_j.  Only the 2*EPS margins, in the
+        # pruning and in the candidate filter, keep m.
+        g = GaussianApprox(0.0, 0.5)  # z = x
+        n = 2 * KS_FIRST + 1
+        x = _level(n, g)
+        z = np.linspace(0.0, 3.0, 300_001)
+        v = float(z[(g.cdf_approx(z) - g.cdf(z)).argmax()])
+        k = int(np.searchsorted(x, v))
+        m = k + 40 | 1
+        x[k:m + 1] = v
+        t_m = (m + 1) / n - g.cdf(v)
+        j = int(round(n * (g.cdf(-v) + t_m))) & ~1
+        w = g.mean + math.sqrt(g.variance) * NormalDist().inv_cdf((j + 1) / n - t_m + 5e-8)
+        x[np.searchsorted(x, w):j + 1] = w
+        approx = g.cdf_approx(np.array([v, w]))
+        assert (j + 1) / n - approx[1] > (m + 1) / n - approx[0]
+        a = EmpiricalDistribution(x)
+        assert ks_full_pass(a, g) == t_m
+        assert ks_distance(a, g) == t_m
+
     def test_exact_cdf_only_at_a_few_points(self, monkeypatch):
         n = 50_000
         a = EmpiricalDistribution.from_samples(np.random.default_rng(12).normal(-80.0, 6.0, n))
@@ -310,8 +322,7 @@ class TestKsDistance:
         # be dropped and every point is evaluated.
         n = 100_000
         g = GaussianApprox(-80.0, 30.0)
-        a = EmpiricalDistribution(g.mean + math.sqrt(g.variance) * np.array(
-            [NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)]))
+        a = EmpiricalDistribution(_level(n, g))
         assert ks_distance(a, g) == ks_full_pass(a, g)
 
         def best_of(fn, reps=5):
@@ -324,9 +335,15 @@ class TestKsDistance:
 
         assert best_of(ks_distance) <= 2.0 * best_of(ks_full_pass)
 
-    def test_evaluates_few_points(self):
+    def test_evaluates_few_points(self, monkeypatch):
+        # Points handed to cdf_approx and to the exact erf alike.
         n = 1_000_000
         a = EmpiricalDistribution.from_samples(np.random.default_rng(11).normal(size=n))
-        b = CountingCdf(GaussianApprox(0.1, 1.0))
-        assert ks_distance(a, b) == ks_full_pass(a, b.dist)
-        assert b.points <= 0.05 * n
+        g = GaussianApprox(0.1, 1.0)
+        want = ks_full_pass(a, g)
+        approx, erf, points = GaussianApprox.cdf_approx, gaussian_approx._erf, []
+        monkeypatch.setattr(GaussianApprox, "cdf_approx",
+                            lambda b, x: points.append(np.size(x)) or approx(b, x))
+        monkeypatch.setattr(gaussian_approx, "_erf", lambda z: points.append(np.size(z)) or erf(z))
+        assert ks_distance(a, g) == want
+        assert sum(points) <= 0.05 * n

@@ -115,6 +115,14 @@ class TestCdfApprox:
         x = g.mean + math.sqrt(g.variance) * np.linspace(-40.0, 40.0, 2_000_001)
         assert np.abs(g.cdf_approx(x) - g.cdf(x)).max() <= EPS / 2
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_within_half_eps_of_cdf_on_narrow_floats(self, dtype):
+        # cdf_approx computes in float64 whatever the input's float type, as
+        # cdf does.
+        g = GaussianApprox(-79.371, 30.0)
+        x = (g.mean + math.sqrt(g.variance) * np.linspace(-40.0, 40.0, 2_000_001)).astype(dtype)
+        assert np.abs(g.cdf_approx(x) - g.cdf(x)).max() <= EPS / 2
+
     def test_centre_and_saturated_tails(self):
         # At z = -0.0 and +-1e-300 copysign picks the side; 40 standard
         # deviations out the tail rounds away.
